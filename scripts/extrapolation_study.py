@@ -16,7 +16,7 @@ from cohadm.admm import AdmmConfig
 from cohadm.cohesive import CohesiveParams
 from cohadm.driver import ExtrapolationPolicy, LoadSchedule, run_quasistatic
 from cohadm.elasticity import Material
-from cohadm.fileio import write_outputs
+from cohadm.fileio import RunWriter
 from cohadm.meshgen import porous_plate
 
 
@@ -44,14 +44,18 @@ def main():
 
     records = {}
     for label, enabled in (("with", True), ("without", False)):
+        writer = RunWriter(f"{args.out}/{label}_extrapolation")
         t0 = time.perf_counter()
         record = run_quasistatic(
             mesh, material, cohesive, schedule, config,
             policy=ExtrapolationPolicy(enabled=enabled),
+            setup_sink=writer.bind,
+            step_sink=writer.on_step,
+            iteration_sink=writer.on_iteration,
         )
         wall = time.perf_counter() - t0
+        writer.finalize(record)
         records[label] = record
-        write_outputs(record, f"{args.out}/{label}_extrapolation")
         print(f"{label:>7} extrapolation: {record.total_iterations:6d} iterations, "
               f"{wall:6.1f} s, peak stress {record.peak_stress:.4f}")
 

@@ -24,13 +24,6 @@ from .elasticity import StiffnessMatrix, reaction_force
 from .errors import ConfigError, ConvergenceError, SingularSystemError
 from .mesh import JumpOperator
 
-try:
-    from cvxopt import cholmod as _cholmod
-    from cvxopt import matrix as _cvx_matrix
-    from cvxopt import spmatrix as _cvx_spmatrix
-except ImportError:   # pragma: no cover - cvxopt is a declared dependency
-    _cholmod = None
-
 log = logging.getLogger(__name__)
 
 
@@ -106,8 +99,6 @@ class StepResult:
 
     state: SolverState
     iterations: int
-    primal_history: np.ndarray
-    dual_history: np.ndarray
     reaction: np.ndarray | None
 
 
@@ -204,37 +195,8 @@ def element_dissection_order(
     return (6 * order[:, None] + np.arange(6)[None, :]).reshape(-1)
 
 
-class _CholmodBackend:
-    """Supernodal sparse Cholesky of the reduced operator via CHOLMOD."""
-
-    def __init__(self, reduced: sp.csc_matrix, perm: np.ndarray | None):
-        n = reduced.shape[0]
-        coo = reduced.tocoo()
-        acv = _cvx_spmatrix(
-            coo.data, coo.row.astype(int), coo.col.astype(int), (n, n)
-        )
-        kwargs = {}
-        if perm is not None:
-            kwargs["p"] = _cvx_matrix(perm.astype(int))
-        previous = _cholmod.options.get("supernodal")
-        _cholmod.options["supernodal"] = 2   # BLAS-rich triangular solves
-        try:
-            self._factor = _cholmod.symbolic(acv, **kwargs)
-            _cholmod.numeric(acv, self._factor)
-        finally:
-            if previous is None:
-                _cholmod.options.pop("supernodal", None)
-            else:
-                _cholmod.options["supernodal"] = previous
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = _cvx_matrix(rhs)
-        _cholmod.solve(self._factor, x)
-        return np.asarray(x).reshape(-1)
-
-
 class _SuperLuBackend:
-    """scipy SuperLU fallback when cvxopt is unavailable."""
+    """Sparse LU of the reduced operator by scipy's SuperLU."""
 
     def __init__(self, reduced: sp.csc_matrix, perm: np.ndarray | None):
         del perm  # COLAMD picks its own ordering
@@ -249,7 +211,7 @@ class Factorization:
     """Reusable factorization of the Dirichlet-reduced K + rho A^T A."""
 
     matrix: sp.csr_matrix          # full (unreduced) operator
-    backend: object
+    backend: _SuperLuBackend | None   # None when every DOF is fixed
     free: np.ndarray
     fixed: np.ndarray
     coupling: sp.csr_matrix        # rows free, columns fixed
@@ -323,9 +285,8 @@ def factorize_system(
 
     backend = None
     if len(free):
-        backend_cls = _CholmodBackend if _cholmod is not None else _SuperLuBackend
         try:
-            backend = backend_cls(reduced, reduced_perm)
+            backend = _SuperLuBackend(reduced, reduced_perm)
         except (ArithmeticError, RuntimeError) as exc:
             # not positive definite despite the rigid-mode check
             raise SingularSystemError(0) from exc
@@ -366,10 +327,7 @@ class AdmmSolver:
         if jump.n_points:
             validate_penalty(self.rho, jump.areas, params)
         n_triangles = jump.n_dof // 6
-        pairs = np.array(
-            [[ie.minus_tri, ie.plus_tri] for ie in jump._edges], dtype=np.int64
-        ).reshape(-1, 2)
-        perm = element_dissection_order(coords, n_triangles, pairs)
+        perm = element_dissection_order(coords, n_triangles, jump.edge_triangles)
         self.fact = factorize_system(
             stiffness.K, jump.A, self.rho, dirichlet_dofs, coords, perm=perm
         )
@@ -441,8 +399,6 @@ class AdmmSolver:
         delta = state0.delta.copy()
         y = state0.y.copy()
         delta_max = cohesive_state.delta_max
-        primal_hist = []
-        dual_hist = []
 
         for it in range(1, self.config.max_iters + 1):
             u = self.u_update(y, delta, bc_values)
@@ -451,8 +407,6 @@ class AdmmSolver:
             delta = self.delta_update(au, y, delta_max)
             y = multiplier_update(y, self.rho, au, delta)
             res = self.check_convergence(au, delta, delta_prev)
-            primal_hist.append(res.primal_inf)
-            dual_hist.append(res.dual_inf)
             if self.iteration_sink is not None:
                 self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
             if res.converged:
@@ -464,13 +418,7 @@ class AdmmSolver:
                         self.stiffness, self.jump, self.rho, state,
                         self.reaction_nodes,
                     )
-                return StepResult(
-                    state=state,
-                    iterations=it,
-                    primal_history=np.array(primal_hist),
-                    dual_history=np.array(dual_hist),
-                    reaction=reaction,
-                )
+                return StepResult(state=state, iterations=it, reaction=reaction)
         raise ConvergenceError(
-            step, self.config.max_iters, primal_hist[-1], dual_hist[-1]
+            step, self.config.max_iters, res.primal_inf, res.dual_inf
         )

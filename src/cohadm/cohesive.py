@@ -313,12 +313,7 @@ def solve_local_batch(
     # --- candidate 3: loading wedge stationary point -------------------
     lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)
     hi = np.full_like(lo, dc)
-    if beta == 1.0:
-        norm_p = np.hypot(pn_pos, ps)
-        d_load = (norm_p - a * sc) / (rho - a * sc / dc)
-        d_load = np.clip(d_load, lo, hi)
-    else:
-        d_load = _loading_root(pn_pos, ps, a, lo, hi, rho, params)
+    d_load = _loading_root(pn_pos, ps, a, lo, hi, rho, params)
     q = a * sc * (1.0 / d_load - 1.0 / dc)
     dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
 

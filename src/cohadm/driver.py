@@ -92,11 +92,9 @@ class RunRecord:
     direction: str
     rows: list[StepRow] = field(default_factory=list)
     dissipation: list[float] = field(default_factory=list)
-    residual_log: list[tuple] = field(default_factory=list)
     final_state: SolverState | None = None
     cohesive_state: CohesiveState | None = None
     jump: object = None
-    cohesive: CohesiveParams | None = None
 
     @property
     def total_iterations(self) -> int:
@@ -210,13 +208,6 @@ def run_quasistatic(
     reaction_nodes = mesh.private_nodes_of(
         input_mesh.boundary_sets[schedule.bc_set]
     )
-    record_log: list[tuple] = []
-
-    def _log_iteration(step, it, primal, dual):
-        record_log.append((step, it, primal, dual))
-        if iteration_sink is not None:
-            iteration_sink(step, it, primal, dual)
-
     solver = AdmmSolver(
         stiffness,
         jump,
@@ -225,7 +216,7 @@ def run_quasistatic(
         dirichlet,
         mesh.nodes,
         reaction_nodes=reaction_nodes,
-        iteration_sink=_log_iteration,
+        iteration_sink=iteration_sink,
     )
     matrix_digest = solver.fact.checksum()
     if setup_sink is not None:
@@ -243,9 +234,7 @@ def run_quasistatic(
         height=height,
         thickness=material.thickness,
         direction=schedule.direction,
-        residual_log=record_log,
         jump=jump,
-        cohesive=cohesive,
     )
 
     cstate = CohesiveState.pristine(jump.n_points)

@@ -64,12 +64,6 @@ class StiffnessMatrix:
     def n_dof(self) -> int:
         return self.K.shape[0]
 
-    @staticmethod
-    def dof_indices(node_ids) -> np.ndarray:
-        """(len, 2) DOF indices (u_x, u_y) for the given node ids."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        return np.stack([2 * node_ids, 2 * node_ids + 1], axis=1)
-
 
 def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     """Strain-displacement matrices and areas for all CST elements.

@@ -234,7 +234,8 @@ def _take(section: dict, path: str, key: str, kind, default=...):
     value = section.pop(key)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    # YAML true/false load as bool, which Python counts as an int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(
             f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -410,39 +411,6 @@ def write_crack_field(path, jump, params, delta, delta_max) -> None:
         fh.write(CRACK_FIELD_HEADER + "\n")
         for line in _crack_field_rows(jump, params, delta, delta_max):
             fh.write(line + "\n")
-
-
-def write_outputs(record: RunRecord, out_dir) -> dict:
-    """One-shot dump of a completed run: CSV curves, crack field, log.
-
-    Returns the mapping of logical name to written path.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "stress_strain": os.path.join(out_dir, "stress_strain.csv"),
-        "crack_field": os.path.join(out_dir, "crack_field.csv"),
-        "iterations": os.path.join(out_dir, "iterations.log"),
-    }
-    try:
-        with open(paths["stress_strain"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(STRESS_STRAIN_HEADER + "\n")
-            for row in record.rows:
-                fh.write(format_step_row(row) + "\n")
-        with open(paths["iterations"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# step iter primal_inf dual_inf\n")
-            for step, it, primal, dual in record.residual_log:
-                fh.write(f"{step} {it} {_fmt(primal)} {_fmt(dual)}\n")
-        if record.final_state is not None and record.jump is not None:
-            write_crack_field(
-                paths["crack_field"],
-                record.jump,
-                record.cohesive,
-                record.final_state.delta,
-                record.cohesive_state.delta_max,
-            )
-    except OSError as exc:
-        raise OSError(f"cannot write outputs under {out_dir}: {exc}") from exc
-    return paths
 
 
 class RunWriter:

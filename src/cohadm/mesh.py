@@ -14,11 +14,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
 # local edge e of triangle (v0, v1, v2) runs v[e] -> v[(e+1) % 3]
 _EDGE_LOCAL = np.array([[0, 1], [1, 2], [2, 0]])
+
+# One record per interior edge of the input mesh, shared by two triangles.
+# The minus side is the triangle with the lower id; the normal points from
+# the minus side to the plus side and is fixed at the reference
+# configuration. The tangent is the normal rotated by +90 degrees.
+INTERFACE_DTYPE = np.dtype(
+    [
+        ("minus_tri", np.int64),
+        ("minus_edge", np.int64),
+        ("plus_tri", np.int64),
+        ("plus_edge", np.int64),
+        ("normal", np.float64, (2,)),
+        ("tangent", np.float64, (2,)),
+        ("length", np.float64),
+    ]
+)
 
 
 def triangle_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -90,27 +107,9 @@ class InputMesh:
         for name, ids in self.boundary_sets.items():
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise MeshError(f"boundary set '{name}' references a node out of range")
-        _edge_table(self.triangles)  # raises on non-manifold edges
-        if not _edge_connected(self.triangles):
+        # builds the edge table, which raises on non-manifold edges
+        if edge_components(self.triangles, n)[0] > 1:
             raise MeshError("mesh is not edge-connected")
-
-
-@dataclass(frozen=True)
-class InterfaceEdge:
-    """One interior edge of the input mesh, shared by two triangles.
-
-    The minus side is the triangle with the lower id; the normal points
-    from the minus side to the plus side and is fixed at the reference
-    configuration. The tangent is the normal rotated by +90 degrees.
-    """
-
-    minus_tri: int
-    minus_edge: int
-    plus_tri: int
-    plus_edge: int
-    normal: np.ndarray
-    tangent: np.ndarray
-    length: float
 
 
 @dataclass
@@ -120,7 +119,7 @@ class BrokenMesh:
     nodes: np.ndarray          # (3m, 2) private node coordinates
     triangles: np.ndarray      # (m, 3) private node indices
     origin_of: np.ndarray      # (3m,) private node -> input node
-    interfaces: list[InterfaceEdge]
+    interfaces: np.ndarray     # (E,) INTERFACE_DTYPE records
     input_mesh: InputMesh
 
     @property
@@ -147,56 +146,51 @@ class BrokenMesh:
         return np.sort(np.concatenate([2 * priv + c for c in comps]))
 
 
-def _edge_table(triangles: np.ndarray) -> dict:
-    """Map sorted input-node pair -> list of (triangle, local edge).
+def interior_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(E, 4) rows (minus_tri, minus_edge, plus_tri, plus_edge), one per
+    edge shared by two triangles, sorted by (minus_tri, minus_edge).
 
-    Raises MeshError if any edge is shared by more than two triangles.
+    The minus side is the lower triangle id. Raises MeshError if any edge
+    is shared by more than two triangles.
     """
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t, tri in enumerate(triangles):
-        for e in range(3):
-            a, b = tri[_EDGE_LOCAL[e]]
-            key = (int(min(a, b)), int(max(a, b)))
-            owners = table.setdefault(key, [])
-            owners.append((t, e))
-            if len(owners) > 2:
-                raise MeshError(
-                    f"non-manifold edge {key}: shared by more than two triangles"
-                )
-    return table
+    ends = triangles[:, _EDGE_LOCAL]                      # (m, 3, 2)
+    keys = (ends.min(axis=2) * n_nodes + ends.max(axis=2)).reshape(-1)
+    # stable, so each shared edge lists its lower triangle id first
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    crowded = np.flatnonzero(sorted_keys[2:] == sorted_keys[:-2])
+    if crowded.size:
+        key = divmod(int(sorted_keys[crowded[0]]), n_nodes)
+        raise MeshError(
+            f"non-manifold edge {key}: shared by more than two triangles"
+        )
+    first = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    minus, plus = order[first], order[first + 1]
+    rank = np.argsort(minus)
+    minus, plus = minus[rank], plus[rank]
+    return np.stack([minus // 3, minus % 3, plus // 3, plus % 3], axis=1)
 
 
-def _edge_connected(triangles: np.ndarray) -> bool:
-    """True when every triangle is reachable through shared edges."""
+def edge_components(triangles: np.ndarray, n_nodes: int) -> tuple[int, np.ndarray]:
+    """Count and per-triangle labels of the edge-connected blocks.
+
+    Labels are numbered in order of each block's lowest triangle id.
+    """
+    pairs = interior_edges(triangles, n_nodes)
     m = len(triangles)
-    if m <= 1:
-        return True
-    table = _edge_table(triangles)
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for owners in table.values():
-        if len(owners) == 2:
-            (t0, _), (t1, _) = owners
-            adj[t0].append(t1)
-            adj[t1].append(t0)
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        t = stack.pop()
-        for u in adj[t]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
+    adjacency = sp.coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 2])), shape=(m, m)
+    )
+    return connected_components(adjacency, directed=False)
 
 
 def break_mesh(mesh: InputMesh) -> BrokenMesh:
     """Duplicate nodes per triangle and enumerate interface edges.
 
     Every interior edge of the input mesh (shared by exactly two
-    triangles) yields one InterfaceEdge; boundary edges yield none.
-    Orientation is deterministic: the lower triangle id is the minus side
-    and the normal points minus -> plus.
+    triangles) yields one INTERFACE_DTYPE record; boundary edges yield
+    none. Orientation is deterministic: the lower triangle id is the
+    minus side and the normal points minus -> plus.
 
     Raises
     ------
@@ -211,34 +205,23 @@ def break_mesh(mesh: InputMesh) -> BrokenMesh:
     triangles = np.arange(3 * m, dtype=np.int64).reshape(m, 3)
     origin_of = flat.copy()
 
-    interfaces = []
-    for owners in _edge_table(mesh.triangles).values():
-        if len(owners) != 2:
-            continue
-        (t0, e0), (t1, e1) = owners
-        if t0 > t1:
-            (t0, e0), (t1, e1) = (t1, e1), (t0, e0)
-        a, b = mesh.triangles[t0, _EDGE_LOCAL[e0]]
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        vec = pb - pa
-        length = float(np.hypot(*vec))
-        tangent_dir = vec / length
-        # outward normal of the CCW minus triangle's edge a -> b
-        normal = np.array([tangent_dir[1], -tangent_dir[0]])
-        tangent = np.array([-normal[1], normal[0]])
-        interfaces.append(
-            InterfaceEdge(
-                minus_tri=int(t0),
-                minus_edge=int(e0),
-                plus_tri=int(t1),
-                plus_edge=int(e1),
-                normal=normal,
-                tangent=tangent,
-                length=length,
-            )
-        )
-    # deterministic interface order regardless of dict iteration details
-    interfaces.sort(key=lambda ie: (ie.minus_tri, ie.minus_edge))
+    minus_tri, minus_edge, plus_tri, plus_edge = interior_edges(
+        mesh.triangles, mesh.n_nodes
+    ).T
+    interfaces = np.zeros(len(minus_tri), dtype=INTERFACE_DTYPE)
+    interfaces["minus_tri"] = minus_tri
+    interfaces["minus_edge"] = minus_edge
+    interfaces["plus_tri"] = plus_tri
+    interfaces["plus_edge"] = plus_edge
+    ends = mesh.triangles[minus_tri[:, None], _EDGE_LOCAL[minus_edge]]   # (E, 2)
+    vec = mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]
+    length = np.hypot(vec[:, 0], vec[:, 1])
+    tangent_dir = vec / length[:, None]
+    # outward normal of the CCW minus triangle's edge a -> b
+    normal = np.stack([tangent_dir[:, 1], -tangent_dir[:, 0]], axis=1)
+    interfaces["normal"] = normal
+    interfaces["tangent"] = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
+    interfaces["length"] = length
     return BrokenMesh(
         nodes=nodes,
         triangles=triangles,
@@ -273,12 +256,15 @@ class JumpOperator:
         Gauss point positions in the reference configuration.
     edge_index : (n_points,) int array
         Interface edge owning each Gauss point.
+    edge_triangles : (n_edges, 2) int array
+        Minus and plus triangle of each interface edge.
     """
 
     A: sp.csr_matrix
     areas: np.ndarray
     points: np.ndarray
     edge_index: np.ndarray
+    edge_triangles: np.ndarray
     thickness: float
     gauss_per_edge: int
 
@@ -289,19 +275,6 @@ class JumpOperator:
     @property
     def n_dof(self) -> int:
         return self.A.shape[1]
-
-    def rows(self, i: int) -> sp.csr_matrix:
-        """The 2 x n_dof block mapping u to (delta_n, delta_s) at point i."""
-        return self.A[2 * i : 2 * i + 2]
-
-    def point_normals(self) -> np.ndarray:
-        """(n_points, 2) unit normals, one per Gauss point."""
-        if not self._edges:
-            return np.zeros((0, 2))
-        normals = np.array([ie.normal for ie in self._edges])
-        return normals[self.edge_index]
-
-    _edges: list = field(default_factory=list, repr=False)
 
 
 def build_jump_operator(
@@ -331,26 +304,9 @@ def build_jump_operator(
     n_points = n_edges * gauss_per_edge
     n_dof = mesh.n_dof
     s, w = gauss_rule(gauss_per_edge)
-
-    if n_edges == 0:
-        A = sp.csr_matrix((0, n_dof))
-        return JumpOperator(
-            A=A,
-            areas=np.zeros(0),
-            points=np.zeros((0, 2)),
-            edge_index=np.zeros(0, dtype=np.int64),
-            thickness=thickness,
-            gauss_per_edge=gauss_per_edge,
-            _edges=list(edges),
-        )
-
-    minus_tri = np.array([ie.minus_tri for ie in edges])
-    minus_edge = np.array([ie.minus_edge for ie in edges])
-    plus_tri = np.array([ie.plus_tri for ie in edges])
-    plus_edge = np.array([ie.plus_edge for ie in edges])
-    normals = np.array([ie.normal for ie in edges])
-    tangents = np.array([ie.tangent for ie in edges])
-    lengths = np.array([ie.length for ie in edges])
+    minus_tri, minus_edge = edges["minus_tri"], edges["minus_edge"]
+    plus_tri, plus_edge = edges["plus_tri"], edges["plus_edge"]
+    normals, tangents, lengths = edges["normal"], edges["tangent"], edges["length"]
 
     # private node pairs bounding each side, aligned so that index 0 sits
     # at the same geometric endpoint on both sides
@@ -398,7 +354,7 @@ def build_jump_operator(
         areas=areas,
         points=points.reshape(-1, 2),
         edge_index=np.repeat(np.arange(n_edges, dtype=np.int64), gauss_per_edge),
+        edge_triangles=np.stack([minus_tri, plus_tri], axis=1),
         thickness=thickness,
         gauss_per_edge=gauss_per_edge,
-        _edges=list(edges),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import InputMesh, _edge_table
+from .mesh import InputMesh, edge_components
 
 
 def rect_strip(
@@ -97,31 +97,10 @@ def _sample_pores(rng, width, height, n_pores, r_lo, r_hi, margin, min_gap):
     return np.array(centers), np.array(radii)
 
 
-def _largest_edge_component(triangles: np.ndarray) -> np.ndarray:
+def _largest_edge_component(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """Mask of the largest edge-connected block of triangles."""
-    m = len(triangles)
-    adj = [[] for _ in range(m)]
-    for owners in _edge_table(triangles).values():
-        if len(owners) == 2:
-            (t0, _), (t1, _) = owners
-            adj[t0].append(t1)
-            adj[t1].append(t0)
-    label = np.full(m, -1, dtype=np.int64)
-    current = 0
-    for seed in range(m):
-        if label[seed] >= 0:
-            continue
-        stack = [seed]
-        label[seed] = current
-        while stack:
-            t = stack.pop()
-            for u in adj[t]:
-                if label[u] < 0:
-                    label[u] = current
-                    stack.append(u)
-        current += 1
-    counts = np.bincount(label)
-    return label == np.argmax(counts)
+    _, label = edge_components(triangles, n_nodes)
+    return label == np.argmax(np.bincount(label))
 
 
 def porous_plate(
@@ -152,7 +131,7 @@ def porous_plate(
     for c, r in zip(centers, radii):
         keep &= np.hypot(*(centroids - c).T) > r
     triangles = base.triangles[keep]
-    triangles = triangles[_largest_edge_component(triangles)]
+    triangles = triangles[_largest_edge_component(triangles, len(base.nodes))]
 
     used = np.unique(triangles)
     remap = np.full(len(base.nodes), -1, dtype=np.int64)

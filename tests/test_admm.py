@@ -430,9 +430,9 @@ def test_gauss_point_permutation_invariance(soft_material, params):
         areas=jump.areas[perm],
         points=jump.points[perm],
         edge_index=jump.edge_index[perm],
+        edge_triangles=jump.edge_triangles,
         thickness=jump.thickness,
         gauss_per_edge=jump.gauss_per_edge,
-        _edges=jump._edges,
     )
 
     pull = 8e-3   # past activation so openings are nontrivial

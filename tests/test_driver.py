@@ -156,7 +156,13 @@ class TestElasticRun:
 
 
 @pytest.fixture(scope="module")
-def fracture_record():
+def residual_log():
+    """(step, iter, primal, dual) of every iteration of fracture_record."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def fracture_record(residual_log):
     mesh = rect_strip(4.0, 2.0, 4, 4)
     mat = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
                    mode="plane_stress", thickness=1.0)
@@ -165,7 +171,10 @@ def fracture_record():
         bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
         fixed_sets=(("left", "x"), ("pin", "y")),
     )
-    return run_quasistatic(mesh, mat, params, sched, AdmmConfig())
+    return run_quasistatic(
+        mesh, mat, params, sched, AdmmConfig(),
+        iteration_sink=lambda *entry: residual_log.append(entry),
+    )
 
 
 class TestFractureRun:
@@ -208,8 +217,14 @@ class TestFractureRun:
         b = np.array([r.reaction_force for r in fracture_record.rows])
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_residual_log_matches_iterations(self, fracture_record):
-        assert len(fracture_record.residual_log) == fracture_record.total_iterations
+    def test_residual_log_matches_iterations(self, fracture_record, residual_log):
+        assert len(residual_log) == fracture_record.total_iterations
+        expected = [
+            (row.step, it)
+            for row in fracture_record.rows
+            for it in range(1, row.iterations + 1)
+        ]
+        assert [entry[:2] for entry in residual_log] == expected
 
 
 def test_nonconvergence_carries_partial_record(soft_material, params):

@@ -14,11 +14,12 @@ from cohadm.fileio import (
     CRACK_FIELD_HEADER,
     STRESS_STRAIN_HEADER,
     RunWriter,
+    format_step_row,
     parse_config,
     parse_mesh,
     point_status,
+    write_crack_field,
     write_mesh,
-    write_outputs,
 )
 from cohadm.meshgen import rect_strip
 
@@ -229,8 +230,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r":\d+"):
             parse_config(path)
 
-    def test_wrong_type_rejected(self, tmp_path):
-        text = CONFIG.replace("n_steps: 4", "n_steps: lots")
+    @pytest.mark.parametrize("value", ["lots", "true"])
+    def test_wrong_type_rejected(self, tmp_path, value):
+        text = CONFIG.replace("n_steps: 4", f"n_steps: {value}")
         path = tmp_path / "c.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError, match="schedule.n_steps"):
@@ -238,7 +240,12 @@ class TestConfigParsing:
 
 
 @pytest.fixture(scope="module")
-def small_run():
+def small_run(tmp_path_factory):
+    """A 4-step elastic run written by RunWriter with per-step fields.
+
+    Returns the record, the output directory and the (step, iter,
+    primal, dual) entries the iteration sink received.
+    """
     mesh = rect_strip(2.0, 1.0, 2, 2)
     from cohadm.elasticity import Material
 
@@ -248,43 +255,60 @@ def small_run():
     sched = LoadSchedule(bc_set="right", direction="x", u_start=0.0,
                          u_end=0.001, n_steps=4,
                          fixed_sets=(("left", "x"), ("pin", "y")))
-    return run_quasistatic(mesh, mat, params, sched, AdmmConfig())
+    out = tmp_path_factory.mktemp("small_run")
+    writer = RunWriter(out, per_step_fields=True)
+    residuals = []
+
+    def on_iteration(*entry):
+        residuals.append(entry)
+        writer.on_iteration(*entry)
+
+    record = run_quasistatic(
+        mesh, mat, params, sched, AdmmConfig(),
+        setup_sink=writer.bind,
+        step_sink=writer.on_step,
+        iteration_sink=on_iteration,
+    )
+    writer.finalize(record)
+    return record, out, residuals
 
 
 class TestOutputs:
-    def test_stress_strain_schema(self, small_run, tmp_path):
-        paths = write_outputs(small_run, tmp_path / "out")
-        lines = open(paths["stress_strain"], newline="").read().split("\n")
+    def test_stress_strain_schema(self, small_run):
+        _, out, _ = small_run
+        with open(out / "stress_strain.csv", newline="") as fh:
+            text = fh.read()
+        lines = text.split("\n")
         assert lines[0] == STRESS_STRAIN_HEADER
         # header + (n_steps + 1) rows + trailing newline
         assert len([l for l in lines if l]) == 1 + 5
-        assert "\r" not in open(paths["stress_strain"], newline="").read()
+        assert "\r" not in text
 
-    def test_stress_column_consistency(self, small_run, tmp_path):
-        paths = write_outputs(small_run, tmp_path / "out")
-        rows = [l.split(",") for l in open(paths["stress_strain"]).read().splitlines()[1:]]
-        section = small_run.height * small_run.thickness
-        for row in rows:
+    def test_stress_column_consistency(self, small_run):
+        record, out, _ = small_run
+        lines = (out / "stress_strain.csv").read_text().splitlines()[1:]
+        section = record.height * record.thickness
+        for row in (l.split(",") for l in lines):
             force, stress, strain = float(row[2]), float(row[3]), float(row[4])
             u = float(row[1])
             assert abs(stress - force / section) <= 1e-12 * max(abs(stress), 1.0)
-            assert abs(strain - u / small_run.width) <= 1e-12 * max(abs(strain), 1.0)
+            assert abs(strain - u / record.width) <= 1e-12 * max(abs(strain), 1.0)
 
-    def test_crack_field_pre_activation(self, small_run, tmp_path):
-        paths = write_outputs(small_run, tmp_path / "out")
-        lines = open(paths["crack_field"]).read().splitlines()
+    def test_crack_field_pre_activation(self, small_run):
+        record, out, _ = small_run
+        lines = (out / "crack_field.csv").read_text().splitlines()
         assert lines[0] == CRACK_FIELD_HEADER
-        assert len(lines) - 1 == small_run.jump.n_points
+        assert len(lines) - 1 == record.jump.n_points
         for line in lines[1:]:
             fields = line.split(",")
             assert fields[-1] == "closed"
             assert float(fields[5]) == 0.0
 
-    def test_iterations_log_rows(self, small_run, tmp_path):
-        paths = write_outputs(small_run, tmp_path / "out")
-        lines = open(paths["iterations"]).read().splitlines()
+    def test_iterations_log_rows(self, small_run):
+        record, out, _ = small_run
+        lines = (out / "iterations.log").read_text().splitlines()
         assert lines[0].startswith("#")
-        assert len(lines) - 1 == small_run.total_iterations
+        assert len(lines) - 1 == record.total_iterations
 
     def test_point_status_classification(self):
         dc = 0.02287
@@ -293,29 +317,20 @@ class TestOutputs:
         assert point_status(0.4 * dc, 0.5 * dc, dc) == "unloading"
         assert point_status(0.0, dc, dc) == "failed"
 
-    def test_incremental_writer_matches_one_shot(self, tmp_path):
-        mesh = rect_strip(2.0, 1.0, 2, 2)
-        from cohadm.elasticity import Material
-
-        mat = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
-                       mode="plane_stress", thickness=0.5)
+    def test_incremental_writer_matches_record(self, small_run, tmp_path):
+        record, out, residuals = small_run
+        rows = (out / "stress_strain.csv").read_text().splitlines()[1:]
+        assert rows == [format_step_row(r) for r in record.rows]
+        log = (out / "iterations.log").read_text().splitlines()[1:]
+        assert log == [f"{s} {i} {p:.17g} {d:.17g}" for s, i, p, d in residuals]
         params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
-        sched = LoadSchedule(bc_set="right", direction="x", u_start=0.0,
-                             u_end=0.001, n_steps=4,
-                             fixed_sets=(("left", "x"), ("pin", "y")))
-        writer = RunWriter(tmp_path / "inc", per_step_fields=True)
-        record = run_quasistatic(
-            mesh, mat, params, sched, AdmmConfig(),
-            setup_sink=writer.bind,
-            step_sink=writer.on_step,
-            iteration_sink=writer.on_iteration,
+        write_crack_field(
+            tmp_path / "final.csv", record.jump, params,
+            record.final_state.delta, record.cohesive_state.delta_max,
         )
-        writer.finalize(record)
-        write_outputs(record, tmp_path / "oneshot")
-        for name in ("stress_strain.csv", "crack_field.csv", "iterations.log"):
-            a = (tmp_path / "inc" / name).read_text()
-            b = (tmp_path / "oneshot" / name).read_text()
-            assert a == b
+        final = (tmp_path / "final.csv").read_text()
+        assert (out / "crack_field.csv").read_text() == final
         # one field dump per emitted row (baseline + 4 steps)
-        dumps = sorted((tmp_path / "inc").glob("crack_field_step*.csv"))
+        dumps = sorted(out.glob("crack_field_step*.csv"))
         assert len(dumps) == 5
+        assert dumps[-1].read_text() == final

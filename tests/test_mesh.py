@@ -4,18 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohadm.errors import MeshError
-from cohadm.mesh import InputMesh, break_mesh, build_jump_operator, gauss_rule
-from cohadm.meshgen import rect_strip
+from cohadm.mesh import (
+    InputMesh,
+    break_mesh,
+    build_jump_operator,
+    gauss_rule,
+    interior_edges,
+)
+from cohadm.meshgen import porous_plate, rect_strip
 
 
 def brute_force_interior_edges(triangles):
-    """Count node pairs shared by exactly two triangles."""
+    """(minus_tri, minus_edge, plus_tri, plus_edge) of every node pair
+    shared by exactly two triangles, sorted by the minus side."""
     seen = {}
     for t, tri in enumerate(triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+        for e, (a, b) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
             key = (min(a, b), max(a, b))
-            seen.setdefault(key, []).append(t)
-    return sum(1 for owners in seen.values() if len(owners) == 2)
+            seen.setdefault(key, []).append((t, e))
+    return sorted(
+        owners[0] + owners[1] for owners in seen.values() if len(owners) == 2
+    )
 
 
 def test_two_triangles_counts(two_triangle_square):
@@ -35,7 +44,9 @@ def test_single_triangle_no_interfaces():
     )
     bm = break_mesh(mesh)
     assert bm.n_nodes == 3
-    assert bm.interfaces == []
+    assert len(bm.interfaces) == 0
+    jump = build_jump_operator(bm, 2)
+    assert jump.A.shape == (0, 6) and jump.n_points == 0
 
 
 def test_structured_2x2_counts():
@@ -43,7 +54,17 @@ def test_structured_2x2_counts():
     bm = break_mesh(mesh)
     assert bm.n_triangles == 8
     assert bm.n_nodes == 24
-    assert len(bm.interfaces) == brute_force_interior_edges(mesh.triangles) == 8
+    assert len(bm.interfaces) == len(brute_force_interior_edges(mesh.triangles)) == 8
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_interior_edges_match_loop_reference(relabel):
+    mesh = porous_plate(nx=12, ny=12, n_pores=3, seed=1)
+    triangles = mesh.triangles
+    if relabel:
+        triangles = np.random.default_rng(3).permutation(mesh.n_nodes)[triangles]
+    got = interior_edges(triangles, mesh.n_nodes)
+    assert got.tolist() == [list(r) for r in brute_force_interior_edges(triangles)]
 
 
 def test_non_manifold_edge_rejected():
@@ -83,15 +104,16 @@ def test_disconnected_mesh_rejected():
 def test_interface_orientation_deterministic(two_triangle_square):
     bm = break_mesh(two_triangle_square)
     ie = bm.interfaces[0]
-    assert ie.minus_tri == 0 and ie.plus_tri == 1
-    assert np.isclose(ie.normal @ ie.tangent, 0.0)
-    assert np.isclose(np.hypot(*ie.normal), 1.0)
+    normal, tangent = ie["normal"], ie["tangent"]
+    assert ie["minus_tri"] == 0 and ie["plus_tri"] == 1
+    assert np.isclose(normal @ tangent, 0.0)
+    assert np.isclose(np.hypot(*normal), 1.0)
     # tangent is the normal rotated by +90 degrees
-    assert np.allclose(ie.tangent, [-ie.normal[1], ie.normal[0]])
+    assert np.allclose(tangent, [-normal[1], normal[0]])
     # normal points from triangle 0 toward triangle 1's centroid
     c0 = bm.nodes[bm.triangles[0]].mean(axis=0)
     c1 = bm.nodes[bm.triangles[1]].mean(axis=0)
-    assert ie.normal @ (c1 - c0) > 0
+    assert normal @ (c1 - c0) > 0
 
 
 def test_gauss_rule_weights():
@@ -111,8 +133,7 @@ def test_effective_area_conservation(gauss_per_edge, thickness):
     bm = break_mesh(mesh)
     jump = build_jump_operator(bm, gauss_per_edge, thickness)
     per_edge = np.bincount(jump.edge_index, weights=jump.areas)
-    lengths = np.array([ie.length for ie in bm.interfaces])
-    assert np.allclose(per_edge, lengths * thickness, rtol=1e-12)
+    assert np.allclose(per_edge, bm.interfaces["length"] * thickness, rtol=1e-12)
 
 
 def test_uniform_translation_annihilated(two_triangle_square):
@@ -147,8 +168,8 @@ def test_pure_normal_opening(two_triangle_square):
     ie = bm.interfaces[0]
     c = 0.25
     u = np.zeros(bm.n_dof)
-    for node in bm.triangles[ie.plus_tri]:
-        u[2 * node : 2 * node + 2] = c * ie.normal
+    for node in bm.triangles[ie["plus_tri"]]:
+        u[2 * node : 2 * node + 2] = c * ie["normal"]
     openings = (jump.A @ u).reshape(-1, 2)
     assert np.allclose(openings[:, 0], c, atol=1e-14)
     assert np.allclose(openings[:, 1], 0.0, atol=1e-14)
@@ -169,8 +190,8 @@ def test_jump_matches_pointwise_interpolation(two_triangle_square):
         a, b = edge_local[edge]
         return bm.triangles[tri][a], bm.triangles[tri][b]
 
-    ma, mb = side_nodes(ie.minus_tri, ie.minus_edge)
-    pa, pb = side_nodes(ie.plus_tri, ie.plus_edge)
+    ma, mb = side_nodes(ie["minus_tri"], ie["minus_edge"])
+    pa, pb = side_nodes(ie["plus_tri"], ie["plus_edge"])
     if bm.origin_of[pa] != bm.origin_of[ma]:
         pa, pb = pb, pa
     P, Q = bm.nodes[ma], bm.nodes[mb]
@@ -180,8 +201,8 @@ def test_jump_matches_pointwise_interpolation(two_triangle_square):
         u_minus = (1 - s) * u[2 * ma : 2 * ma + 2] + s * u[2 * mb : 2 * mb + 2]
         u_plus = (1 - s) * u[2 * pa : 2 * pa + 2] + s * u[2 * pb : 2 * pb + 2]
         diff = u_plus - u_minus
-        assert np.isclose(got[k, 0], ie.normal @ diff, atol=1e-12)
-        assert np.isclose(got[k, 1], ie.tangent @ diff, atol=1e-12)
+        assert np.isclose(got[k, 0], ie["normal"] @ diff, atol=1e-12)
+        assert np.isclose(got[k, 1], ie["tangent"] @ diff, atol=1e-12)
 
 
 def test_row_support_bounded():
@@ -212,8 +233,8 @@ def test_frame_consistency_under_rotation(theta):
     u = rng.normal(size=bm.n_dof)
     u_rot = (u.reshape(-1, 2) @ R.T).reshape(-1)
 
-    for ie, ie_rot in zip(bm.interfaces, bm_rot.interfaces):
-        assert np.allclose(ie_rot.normal, R @ ie.normal, atol=1e-10)
+    normals = bm.interfaces["normal"]
+    assert np.allclose(bm_rot.interfaces["normal"], normals @ R.T, atol=1e-10)
     assert np.allclose(jump_rot.A @ u_rot, jump.A @ u, atol=1e-10)
 
 
