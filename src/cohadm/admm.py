@@ -122,6 +122,9 @@ def element_dissection_order(
 ) -> np.ndarray:
     """DOF elimination order by geometric nested dissection of elements.
 
+    Not on the run path: SuperLU orders the operator itself. Kept only
+    because perfbench/spans.py wraps this name for its `admm.order_s` span.
+
     Relies on the triangle-major private-node layout (triangle t owns
     nodes 3t..3t+2). Recursively splits the element set at the median
     centroid coordinate; elements whose neighbor crosses the cut are
@@ -196,11 +199,21 @@ def element_dissection_order(
 
 
 class _SuperLuBackend:
-    """Sparse LU of the reduced operator by scipy's SuperLU."""
+    """SuperLU factor of the reduced operator, which is SPD.
 
-    def __init__(self, reduced: sp.csc_matrix, perm: np.ndarray | None):
-        del perm  # COLAMD picks its own ordering
-        self._lu = spla.splu(reduced)
+    Symmetric mode with a zero pivot threshold takes every pivot from the
+    diagonal, so the minimum-degree ordering of A + A^T serves as a
+    symmetric elimination order; on this operator it fills far less than
+    the COLAMD ordering of a general LU.
+    """
+
+    def __init__(self, reduced: sp.csc_matrix):
+        self._lu = spla.splu(
+            reduced,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -243,16 +256,13 @@ def factorize_system(
     rho: float,
     dirichlet_dofs: np.ndarray,
     coords: np.ndarray,
-    perm: np.ndarray | None = None,
 ) -> Factorization:
     """Factor K + rho A^T A with the constrained DOFs eliminated.
 
     The penalty term ties the duplicated elements together, so the null
     space of the unconstrained operator is exactly the global rigid
     motions of the structure. Raises SingularSystemError naming how many
-    of them the Dirichlet set leaves free. `perm` optionally supplies a
-    fill-reducing DOF elimination order (over all DOFs; it is restricted
-    to the free set internally).
+    of them the Dirichlet set leaves free.
     """
     dirichlet_dofs = np.unique(np.asarray(dirichlet_dofs, dtype=np.int64))
     n_dof = K.shape[0]
@@ -268,7 +278,7 @@ def factorize_system(
     if n_rigid > 0:
         raise SingularSystemError(n_rigid)
 
-    M = (K + rho * (A.T @ A)).tocsr() if A.shape[0] else K.tocsr().copy()
+    M = (K + rho * (A.T @ A)).tocsr()
     M.sum_duplicates()
     mask = np.ones(n_dof, dtype=bool)
     mask[dirichlet_dofs] = False
@@ -276,17 +286,10 @@ def factorize_system(
     reduced = M[free][:, free].tocsc()
     coupling = M[free][:, dirichlet_dofs].tocsr()
 
-    reduced_perm = None
-    if perm is not None:
-        position = np.full(n_dof, -1, dtype=np.int64)
-        position[free] = np.arange(len(free))
-        reduced_perm = position[perm]
-        reduced_perm = reduced_perm[reduced_perm >= 0]
-
     backend = None
     if len(free):
         try:
-            backend = _SuperLuBackend(reduced, reduced_perm)
+            backend = _SuperLuBackend(reduced)
         except (ArithmeticError, RuntimeError) as exc:
             # not positive definite despite the rigid-mode check
             raise SingularSystemError(0) from exc
@@ -324,12 +327,9 @@ class AdmmSolver:
         self.params = params
         self.config = config
         self.rho = config.penalty(jump.areas, params)
-        if jump.n_points:
-            validate_penalty(self.rho, jump.areas, params)
-        n_triangles = jump.n_dof // 6
-        perm = element_dissection_order(coords, n_triangles, jump.edge_triangles)
+        validate_penalty(self.rho, jump.areas, params)
         self.fact = factorize_system(
-            stiffness.K, jump.A, self.rho, dirichlet_dofs, coords, perm=perm
+            stiffness.K, jump.A, self.rho, dirichlet_dofs, coords
         )
         self.dirichlet_dofs = self.fact.fixed
         self.reaction_nodes = reaction_nodes
@@ -347,10 +347,7 @@ class AdmmSolver:
         self, y: np.ndarray, delta: np.ndarray, bc_values: np.ndarray
     ) -> np.ndarray:
         """Global quadratic minimization at fixed openings and multipliers."""
-        if self.jump.n_points:
-            rhs = -(self.jump.A.T @ (y - self.rho * delta))
-        else:
-            rhs = np.zeros(self.jump.n_dof)
+        rhs = -(self.jump.A.T @ (y - self.rho * delta))
         return self.fact.solve(rhs, bc_values)
 
     def delta_update(

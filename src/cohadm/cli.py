@@ -79,15 +79,13 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _fail("io", str(exc), EXIT_CONFIG)
 
-    if args.seed_log:
+    try:
         with open(f"{out_dir}/seed.log", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"cohadm {__version__}\n")
             fh.write(f"numpy {numpy.__version__}\n")
             fh.write(f"scipy {scipy.__version__}\n")
             fh.write(f"mesh sha256 {_file_digest(args.mesh)}\n")
             fh.write(f"config sha256 {_file_digest(args.config)}\n")
-
-    try:
         record = run_quasistatic(
             mesh,
             config.material,
@@ -99,13 +97,15 @@ def _cmd_run(args) -> int:
             step_sink=writer.on_step,
             iteration_sink=writer.on_iteration,
         )
+        writer.finalize(record)
     except ConvergenceError as exc:
-        writer.close()
         return _fail("convergence", str(exc), EXIT_NONCONVERGED)
     except (ConfigError, SingularSystemError, MeshError) as exc:
-        writer.close()
         return _fail("config", str(exc), EXIT_CONFIG)
-    writer.finalize(record)
+    except OSError as exc:
+        return _fail("io", str(exc), EXIT_CONFIG)
+    finally:
+        writer.close()
     print(
         f"run complete: {config.schedule.n_steps} steps, "
         f"{record.total_iterations} iterations, "
@@ -157,10 +157,6 @@ def build_parser() -> _Parser:
     run.add_argument(
         "--no-extrapolation", action="store_true",
         help="disable extrapolated warm starts",
-    )
-    run.add_argument(
-        "--seed-log", action="store_true",
-        help="record input digests and library versions in seed.log",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -155,6 +155,27 @@ def dissipated_energy(delta_max, areas, params: CohesiveParams) -> float:
     return float(np.sum(np.asarray(areas) * 0.5 * params.sigma_c * dm))
 
 
+def point_status(delta, delta_max, params: CohesiveParams) -> np.ndarray:
+    """State of every Gauss point: closed, opening, unloading or failed.
+
+    delta holds (n, 2) openings and delta_max the (n,) damage history.
+    A point whose effective opening sits within a relative 1e-9 of its
+    history is opening, so roundoff on the loading branch is not read as
+    unloading.
+    """
+    delta_max = np.asarray(delta_max, dtype=float)
+    eff = params.effective_opening(delta)
+    return np.select(
+        [
+            delta_max <= 0.0,
+            delta_max >= params.delta_c,
+            eff < delta_max * (1.0 - 1e-9),
+        ],
+        ["closed", "failed", "unloading"],
+        "opening",
+    )
+
+
 def local_objective(delta, p, a, delta_max, rho, params: CohesiveParams):
     """Value of the per-point ADMM objective at opening(s) delta.
 
@@ -214,8 +235,11 @@ def _solve_equal_mixity(pn_pos, ps, a, dm, rho, params, closed):
     k = _secant_stiffness(dm, params)           # inf where pristine
     with np.errstate(invalid="ignore"):
         d_unload = drive / (rho + a * k)
+    # d_unload <= dm, multiplied through by rho + a k: k overflows to inf
+    # for a subnormal history, which would pass any drive as unloading
+    unloads = drive <= rho * dm + a * sc * np.maximum(1.0 - dm / dc, 0.0)
     d = np.where(
-        (dm > 0.0) & (d_unload <= dm),
+        (dm > 0.0) & unloads,
         d_unload,
         np.where(
             drive >= rho * dc,

@@ -19,7 +19,7 @@ import numpy as np
 from .admm import AdmmConfig, AdmmSolver, SolverState
 from .cohesive import CohesiveParams, CohesiveState, dissipated_energy
 from .elasticity import Material, assemble_stiffness
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, OperatorMutatedError
 from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
 
 log = logging.getLogger(__name__)
@@ -187,7 +187,6 @@ def run_quasistatic(
     schedule: LoadSchedule,
     admm_config: AdmmConfig,
     policy: ExtrapolationPolicy = ExtrapolationPolicy(),
-    gauss_per_edge: int = 2,
     setup_sink=None,
     step_sink=None,
     iteration_sink=None,
@@ -199,10 +198,11 @@ def run_quasistatic(
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
-    `partial_record`.
+    `partial_record`. Raises OperatorMutatedError when the factorized
+    operator changed during the run (its factor would no longer match).
     """
     mesh = break_mesh(input_mesh)
-    jump = build_jump_operator(mesh, gauss_per_edge, material.thickness)
+    jump = build_jump_operator(mesh, thickness=material.thickness)
     stiffness = assemble_stiffness(mesh, material)
     dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
     reaction_nodes = mesh.private_nodes_of(
@@ -311,7 +311,8 @@ def run_quasistatic(
             quality = extrapolation_quality(z_new, z_prev, trial, scale)
         z_before, z_prev = z_prev, z_new
 
-    assert solver.fact.checksum() == matrix_digest, "operator mutated during run"
+    if solver.fact.checksum() != matrix_digest:
+        raise OperatorMutatedError("system operator changed during the run")
     record.final_state = z_prev
     record.cohesive_state = cstate
     return record

@@ -54,3 +54,7 @@ class ConvergenceError(CohadmError):
             f"step {step} did not converge after {iterations} iterations "
             f"(primal={primal:.3e}, dual={dual:.3e})"
         )
+
+
+class OperatorMutatedError(CohadmError):
+    """The factorized operator K + rho A^T A changed during a run."""

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .admm import AdmmConfig
-from .cohesive import CohesiveParams
+from .cohesive import CohesiveParams, point_status
 from .driver import ExtrapolationPolicy, LoadSchedule, RunRecord, StepRow
 from .elasticity import Material
 from .errors import ConfigError, MeshError, MeshParseError
@@ -378,39 +378,23 @@ def format_step_row(row: StepRow) -> str:
     )
 
 
-def point_status(eff: float, delta_max: float, delta_c: float) -> str:
-    if delta_max <= 0.0:
-        return "closed"
-    if delta_max >= delta_c:
-        return "failed"
-    if eff < delta_max * (1.0 - 1e-9):
-        return "unloading"
-    return "opening"
+_CRACK_FIELD_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 
 
-def _crack_field_rows(jump, params: CohesiveParams, delta, delta_max):
+def write_crack_field(path, jump, params: CohesiveParams, delta, delta_max) -> None:
     delta = np.asarray(delta).reshape(-1, 2)
-    eff = params.effective_opening(delta)
-    for i in range(jump.n_points):
-        x, y = jump.points[i]
-        yield ",".join(
-            [
-                str(i),
-                _fmt(x),
-                _fmt(y),
-                _fmt(delta[i, 0]),
-                _fmt(delta[i, 1]),
-                _fmt(delta_max[i]),
-                point_status(eff[i], delta_max[i], params.delta_c),
-            ]
-        )
-
-
-def write_crack_field(path, jump, params, delta, delta_max) -> None:
+    columns = (
+        range(jump.n_points),
+        jump.points[:, 0].tolist(),
+        jump.points[:, 1].tolist(),
+        delta[:, 0].tolist(),
+        delta[:, 1].tolist(),
+        np.asarray(delta_max).tolist(),
+        point_status(delta, delta_max, params).tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CRACK_FIELD_HEADER + "\n")
-        for line in _crack_field_rows(jump, params, delta, delta_max):
-            fh.write(line + "\n")
+        fh.writelines(_CRACK_FIELD_ROW % row for row in zip(*columns))
 
 
 class RunWriter:

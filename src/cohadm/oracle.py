@@ -9,12 +9,11 @@ the verification suite.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-from .util import thread_cap
 
 # one coarse localization round, then shrinking fine rounds around the
 # incumbent; the window keeps +- _SHRINK cells of the previous spacing
@@ -22,6 +21,23 @@ _COARSE = (49, 97)
 _FINE = (17, 33)
 _FINE_ROUNDS = 6
 _SHRINK = 2.5
+
+
+def thread_cap() -> int:
+    """Width cap for the brute-force pool, from the COHADM_THREADS variable.
+
+    0 or unset means auto (bounded by the CPU count); any positive value
+    caps the width at that number. Chunks write disjoint slices, so
+    results do not depend on the width.
+    """
+    raw = os.environ.get("COHADM_THREADS", "0")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        return min(8, os.cpu_count() or 1)
+    return value
 
 
 def _potential(d_eff, d_max, sigma_c, delta_c):
@@ -170,14 +186,8 @@ def run_oracle(n_samples: int, seed: int, chunk: int = 512) -> OracleReport:
             p[sl], a[sl], d_max[sl], rho[sl], sigma_c, delta_c, beta[sl]
         )
 
-    starts = range(0, n_samples, chunk)
-    width = thread_cap()
-    if width > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            list(pool.map(_run_chunk, starts))
-    else:
-        for start in starts:
-            _run_chunk(start)
+    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+        list(pool.map(_run_chunk, range(0, n_samples, chunk)))
     gaps = (solver_val - brute_val) / (a * sigma_c * delta_c)
     return OracleReport(
         samples=n_samples, max_gap=float(gaps.max()), mean_gap=float(gaps.mean())

@@ -85,12 +85,17 @@ class TestFactorize:
             factorize_system(stiffness.K, jump.A, 1000.0, pinned, bm.nodes)
         assert err.value.n_rigid_modes == 1
 
-    def test_solve_matches_dense_oracle(self, two_triangle_square, soft_material, params):
-        bm = break_mesh(two_triangle_square)
+    @pytest.mark.parametrize("strip", [False, True], ids=["square", "strip"])
+    def test_solve_matches_dense_oracle(
+        self, two_triangle_square, soft_material, params, strip
+    ):
+        # the strip has enough elements that fill and ordering matter
+        mesh = rect_strip(4.0, 2.0, 6, 4) if strip else two_triangle_square
+        bm = break_mesh(mesh)
         jump = build_jump_operator(bm, 2)
         stiffness = assemble_stiffness(bm, soft_material)
         rho = 500.0
-        dirichlet = bm.dofs_of([0, 3], "xy")
+        dirichlet = bm.dofs_of(mesh.boundary_sets["left"], "xy")
         fact = factorize_system(stiffness.K, jump.A, rho, dirichlet, bm.nodes)
         M = (stiffness.K + rho * (jump.A.T @ jump.A)).toarray()
         rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohadm.cli import main
-from cohadm.fileio import write_mesh
+from cohadm.fileio import RunWriter, write_mesh
 from cohadm.meshgen import rect_strip
 
 CONFIG = """\
@@ -60,7 +60,7 @@ def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
     out = tmp_path / "res"
     code = main([
         "run", "--mesh", str(mesh_path), "--config", str(config_path),
-        "--out", str(out), "--seed-log",
+        "--out", str(out),
     ])
     assert code == 0
     for name in ("stress_strain.csv", "crack_field.csv", "iterations.log", "seed.log"):
@@ -116,6 +116,28 @@ def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
     assert err.startswith("error: convergence:")
     # partial rows were flushed before the failure
     assert (tmp_path / "nc" / "stress_strain.csv").exists()
+
+
+def test_run_io_error_exits_one(strip_inputs, tmp_path, capsys, monkeypatch):
+    mesh_path, config_path = strip_inputs
+
+    def full_disk(self, row, state, cohesive_state):
+        raise OSError("No space left on device")
+
+    closed = []
+    real_close = RunWriter.close
+
+    def close(self):
+        real_close(self)
+        closed.append(self)
+
+    monkeypatch.setattr(RunWriter, "on_step", full_disk)
+    monkeypatch.setattr(RunWriter, "close", close)
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "io")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: io: No space left on device")
+    assert closed
 
 
 def test_unknown_flag_exits_64(capsys):

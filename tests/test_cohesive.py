@@ -187,6 +187,16 @@ class TestSolveLocal:
         with pytest.raises(ConfigError, match="strong-convexity"):
             solve_local([1.0, 0.0], 1.0, 0.0, SC / DC, params)
 
+    def test_subnormal_history_still_loads(self):
+        """A subnormal delta_max overflows the secant slope to inf."""
+        params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=1.0)
+        p, rho = np.array([0.0, 2.0 * SC]), 5.0 * SC / DC
+        dm = 2.225073858507203e-309 * DC
+        delta = solve_local(p, 1.0, dm, rho, params)
+        brute, _ = brute_force_minimum(p, 1.0, dm, rho, SC, DC, 1.0)
+        mine = local_objective(delta, p, 1.0, dm, rho, params)
+        assert mine <= brute + 1e-8 * (SC * DC)
+
     def test_convexity_includes_mixity(self):
         params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=2.0)
         rho = 2.0 * SC / DC   # above the plain bound, below beta^2 times it

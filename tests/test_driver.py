@@ -12,7 +12,8 @@ from cohadm.driver import (
     run_quasistatic,
 )
 from cohadm.elasticity import Material
-from cohadm.errors import ConfigError, ConvergenceError
+from cohadm.errors import ConfigError, ConvergenceError, OperatorMutatedError
+from cohadm.mesh import InputMesh
 from cohadm.meshgen import rect_strip
 
 from oracles import conforming_solve, conforming_stiffness, reaction_on
@@ -241,3 +242,35 @@ def test_nonconvergence_carries_partial_record(soft_material, params):
     assert record.rows[0].step == 0
     assert rows_seen == [r.step for r in record.rows]
     assert err.value.step == len(record.rows)   # failing step index
+
+
+def test_single_triangle_without_interfaces(params):
+    """No interfaces: one iteration per step, reactions of the bare CST."""
+    mesh = InputMesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 1, 2]]),
+        boundary_sets={
+            "left": np.array([0, 2]), "right": np.array([1]), "pin": np.array([0]),
+        },
+    )
+    material = Material(
+        youngs_modulus=1.0, poisson_ratio=0.0, mode="plane_stress", thickness=1.0
+    )
+    sched = small_strip_schedule(u_end=3.0, n_steps=3)
+    record = run_quasistatic(mesh, material, params, sched, AdmmConfig())
+    assert [r.iterations for r in record.rows[1:]] == [1, 1, 1]
+    forces = [r.reaction_force for r in record.rows[1:]]
+    assert np.allclose(forces, [0.5, 1.0, 1.5], rtol=1e-12)
+
+
+def test_operator_mutation_raises(soft_material, params):
+    mesh = rect_strip(4.0, 2.0, 4, 2)
+
+    def tamper(broken, jump, solver):
+        solver.fact.matrix.data[0] *= 2.0
+
+    with pytest.raises(OperatorMutatedError):
+        run_quasistatic(
+            mesh, soft_material, params, small_strip_schedule(0.001, 2),
+            AdmmConfig(), setup_sink=tamper,
+        )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cohadm.admm import AdmmConfig
-from cohadm.cohesive import CohesiveParams
+from cohadm.cohesive import CohesiveParams, point_status
 from cohadm.driver import LoadSchedule, run_quasistatic
 from cohadm.errors import ConfigError, MeshParseError
 from cohadm.fileio import (
@@ -17,7 +17,6 @@ from cohadm.fileio import (
     format_step_row,
     parse_config,
     parse_mesh,
-    point_status,
     write_crack_field,
     write_mesh,
 )
@@ -311,11 +310,13 @@ class TestOutputs:
         assert len(lines) - 1 == record.total_iterations
 
     def test_point_status_classification(self):
-        dc = 0.02287
-        assert point_status(0.0, 0.0, dc) == "closed"
-        assert point_status(0.1, 0.5 * dc, dc) == "opening"
-        assert point_status(0.4 * dc, 0.5 * dc, dc) == "unloading"
-        assert point_status(0.0, dc, dc) == "failed"
+        params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
+        dc = params.delta_c
+        delta = np.array([[0.0, 0.0], [0.1, 0.0], [0.4 * dc, 0.0], [0.0, 0.0]])
+        delta_max = np.array([0.0, 0.5 * dc, 0.5 * dc, dc])
+        assert point_status(delta, delta_max, params).tolist() == [
+            "closed", "opening", "unloading", "failed",
+        ]
 
     def test_incremental_writer_matches_record(self, small_run, tmp_path):
         record, out, residuals = small_run
