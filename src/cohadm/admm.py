@@ -7,6 +7,12 @@ Convergence is judged on pressure-normalized primal and dual residuals,
 so the tolerances are meaningful across mesh resolutions and penalty
 values. The factorized operator K + rho A^T A is constant for an entire
 run; only right-hand sides change between iterations and steps.
+
+The opening and multiplier updates use the over-relaxed jump
+r A u + (1 - r) delta_prev (Boyd et al., "Distributed Optimization and
+Statistical Learning via ADMM", FnT ML 2011, section 3.4.3), which has
+the same fixed point as the plain map and reaches it in fewer
+iterations. The stopping test keeps the plain A u.
 """
 
 from __future__ import annotations
@@ -25,6 +31,12 @@ from .errors import ConfigError, ConvergenceError, SingularSystemError
 from .mesh import JumpOperator
 
 log = logging.getLogger(__name__)
+
+# Over-relaxation factor r of the jump fed to the delta and y updates.
+# From r = 1.6 a load step that already converges in one or two
+# iterations takes more, and from r = 1.7 extrapolated elastic steps
+# need 3-5 iterations instead of at most 2.
+RELAXATION = 1.5
 
 
 @dataclass
@@ -300,7 +312,10 @@ def factorize_system(
 
 
 def multiplier_update(y: np.ndarray, rho: float, au: np.ndarray, delta: np.ndarray):
-    """Dual ascent y + rho (A u - delta); no clipping."""
+    """Dual ascent y + rho (A u - delta); no clipping.
+
+    run_step passes the over-relaxed jump as `au`.
+    """
     return y + rho * (au - delta)
 
 
@@ -390,22 +405,30 @@ class AdmmSolver:
 
         The damage history is frozen during the iterations and committed
         only on success, so each step minimizes a fixed functional.
-        Raises ConvergenceError when the iteration cap is exhausted.
+        Raises ConvergenceError when the iteration cap is exhausted or at
+        the first non-finite residual.
         """
         u = state0.u
         delta = state0.delta.copy()
         y = state0.y.copy()
         delta_max = cohesive_state.delta_max
+        au_hat = np.empty_like(delta)
 
         for it in range(1, self.config.max_iters + 1):
             u = self.u_update(y, delta, bc_values)
             au = self.jump.A @ u
             delta_prev = delta
-            delta = self.delta_update(au, y, delta_max)
-            y = multiplier_update(y, self.rho, au, delta)
+            # au_hat = r A u + (1 - r) delta_prev, without temporaries
+            np.subtract(au, delta_prev, out=au_hat)
+            au_hat *= RELAXATION
+            au_hat += delta_prev
+            delta = self.delta_update(au_hat, y, delta_max)
+            y = multiplier_update(y, self.rho, au_hat, delta)
             res = self.check_convergence(au, delta, delta_prev)
             if self.iteration_sink is not None:
                 self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
+            if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
+                raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
             if res.converged:
                 state = SolverState(u=u, delta=delta, y=y)
                 cohesive_state.commit(delta, self.params)

@@ -56,6 +56,7 @@ def _cmd_run(args) -> int:
     import numpy
     import scipy
 
+    from . import admm
     from .driver import ExtrapolationPolicy, run_quasistatic
     from .fileio import RunWriter, parse_config, parse_mesh
 
@@ -86,6 +87,7 @@ def _cmd_run(args) -> int:
             fh.write(f"scipy {scipy.__version__}\n")
             fh.write(f"mesh sha256 {_file_digest(args.mesh)}\n")
             fh.write(f"config sha256 {_file_digest(args.config)}\n")
+            fh.write(f"admm relaxation {admm.RELAXATION}\n")
         record = run_quasistatic(
             mesh,
             config.material,

@@ -43,7 +43,7 @@ class SingularSystemError(CohadmError):
 
 
 class ConvergenceError(CohadmError):
-    """A load step exhausted its iteration budget."""
+    """A load step exhausted its iteration budget or its residual went non-finite."""
 
     def __init__(self, step, iterations, primal, dual):
         self.step = step

@@ -9,6 +9,7 @@ All parse failures carry the file path and line number.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from dataclasses import dataclass
@@ -382,6 +383,7 @@ _CRACK_FIELD_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 
 
 def write_crack_field(path, jump, params: CohesiveParams, delta, delta_max) -> None:
+    """Write one row per Gauss point, replacing `path` only on success."""
     delta = np.asarray(delta).reshape(-1, 2)
     columns = (
         range(jump.n_points),
@@ -392,9 +394,18 @@ def write_crack_field(path, jump, params: CohesiveParams, delta, delta_max) -> N
         np.asarray(delta_max).tolist(),
         point_status(delta, delta_max, params).tolist(),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CRACK_FIELD_HEADER + "\n")
-        fh.writelines(_CRACK_FIELD_ROW % row for row in zip(*columns))
+    # write beside the target and rename, so a failed write never
+    # replaces an earlier field with a partial one
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CRACK_FIELD_HEADER + "\n")
+            fh.writelines(_CRACK_FIELD_ROW % row for row in zip(*columns))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class RunWriter:

@@ -383,6 +383,42 @@ class TestRunStep:
         assert err.value.iterations == 3
         assert err.value.primal > 0 or err.value.dual > 0
 
+    def test_nonfinite_residual_fails_fast(self, soft_material, params, monkeypatch):
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        monkeypatch.setattr(
+            AdmmSolver, "delta_update",
+            lambda self, au, y, delta_max: np.full_like(au, np.nan),
+        )
+        cstate = CohesiveState.pristine(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 1e-3)
+        with pytest.raises(ConvergenceError) as err:
+            solver.run_step(solver.initial_state(), bc, cstate, step=4)
+        assert err.value.step == 4
+        assert err.value.iterations == 1
+        assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
+
+    def test_restart_from_converged_state(self, soft_material, params):
+        """Plain and over-relaxed maps share their fixed point."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        cstate = CohesiveState.pristine(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
+        first = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        assert first.iterations > 1
+        assert cstate.delta_max.max() > 0.0
+        again = solver.run_step(first.state, bc, cstate, step=2)
+        assert again.iterations == 1
+        cfg = solver.config
+        tol = 10 * cfg.c_primal * jump.areas.mean() / solver.rho
+        assert np.abs(again.state.u - first.state.u).max() <= tol
+        assert np.abs(again.state.delta - first.state.delta).max() <= tol
+        assert np.abs(again.state.y - first.state.y).max() <= (
+            2 * cfg.c_primal * jump.areas.max()
+        )
+
     def test_reaction_equilibrium(self, soft_material, params):
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params

@@ -68,6 +68,7 @@ def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
     seed = (out / "seed.log").read_text()
     assert re.search(r"mesh sha256 [0-9a-f]{64}", seed)
+    assert "admm relaxation 1.5\n" in seed
 
 
 def test_run_no_extrapolation_matches_default(strip_inputs, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from cohadm import fileio
 from cohadm.admm import AdmmConfig
 from cohadm.cohesive import CohesiveParams, point_status
 from cohadm.driver import LoadSchedule, run_quasistatic
@@ -317,6 +318,34 @@ class TestOutputs:
         assert point_status(delta, delta_max, params).tolist() == [
             "closed", "opening", "unloading", "failed",
         ]
+
+    @pytest.mark.parametrize("failure", ["point_status", "row_format"])
+    def test_failed_crack_field_write_keeps_previous(
+        self, small_run, tmp_path, monkeypatch, failure
+    ):
+        """A write that raises leaves the earlier file intact and no temp file."""
+        record, _, _ = small_run
+        params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
+        path = tmp_path / "crack_field.csv"
+        delta = record.final_state.delta
+        delta_max = record.cohesive_state.delta_max
+        write_crack_field(path, record.jump, params, delta, delta_max)
+        before = path.read_bytes()
+
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        if failure == "point_status":
+            monkeypatch.setattr(fileio, "point_status", broken)
+            expected = RuntimeError
+        else:
+            # fails on the first row, after the temp file is open
+            monkeypatch.setattr(fileio, "_CRACK_FIELD_ROW", "%d\n")
+            expected = TypeError
+        with pytest.raises(expected):
+            write_crack_field(path, record.jump, params, 2 * delta, delta_max)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crack_field.csv"]
 
     def test_incremental_writer_matches_record(self, small_run, tmp_path):
         record, out, residuals = small_run
