@@ -13,6 +13,14 @@ r A u + (1 - r) delta_prev (Boyd et al., "Distributed Optimization and
 Statistical Learning via ADMM", FnT ML 2011, section 3.4.3), which has
 the same fixed point as the plain map and reaches it in fewer
 iterations. The stopping test keeps the plain A u.
+
+While no Gauss point is on its loading branch the map w -> G(w) of
+w = (delta, y) is locally affine, and type-II Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011; Zhang, Peng, Deng & Liu,
+"Accelerating ADMM for Efficient Simulation and Optimization", ACM TOG
+38(6), 2019) extrapolates the next w from the last few iterates. A
+loading point or a rising residual clears the history and takes the
+plain iterate, so acceleration never chooses between crack branches.
 """
 
 from __future__ import annotations
@@ -25,7 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cohesive import CohesiveParams, CohesiveState, solve_local_batch, validate_penalty
+from .cohesive import (
+    CohesiveParams,
+    CohesiveState,
+    loading_points,
+    solve_local_batch,
+    validate_penalty,
+)
 from .elasticity import StiffnessMatrix, reaction_force
 from .errors import ConfigError, ConvergenceError, SingularSystemError
 from .mesh import JumpOperator
@@ -37,6 +51,10 @@ log = logging.getLogger(__name__)
 # iterations takes more, and from r = 1.7 extrapolated elastic steps
 # need 3-5 iterations instead of at most 2.
 RELAXATION = 1.5
+
+# Anderson window m: how many past iterate differences the accelerated
+# (delta, y) update combines; 0 turns acceleration off.
+ANDERSON_WINDOW = 5
 
 
 @dataclass
@@ -319,6 +337,99 @@ def multiplier_update(y: np.ndarray, rho: float, au: np.ndarray, delta: np.ndarr
     return y + rho * (au - delta)
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed point w = G(w).
+
+    The residual f = scale * (G(w) - w) and the map value g = G(w) of
+    consecutive iterates are differenced into two ring buffers of m rows.
+    The next iterate is g - dG' gamma, with gamma minimizing
+    |f - dF' gamma| through the m x m Gram matrix dF dF'. One product
+    dF f per iteration gives both the right-hand side and, differenced
+    against the last one, the Gram column of the newest row. When the
+    residual norm rises the differences are dropped and the plain
+    iterate is taken.
+    """
+
+    def __init__(self, window: int, scale: np.ndarray):
+        n = len(scale)
+        self.scale = scale
+        self.d_f = np.empty((window, n))
+        self.d_g = np.empty((window, n))
+        self.gram = np.empty((window, window))
+        self.proj = np.empty(window)      # d_f f of the last iterate
+        self.f, self.f_prev = np.empty(n), np.empty(n)
+        self.w = np.empty(n)
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every iterate, the last one included."""
+        self.count = 0        # valid rows of d_f / d_g, filled from row 0
+        self.slot = 0         # row the next difference goes to
+        self.norm_prev = None
+        self.g_prev = None    # (delta, y) halves of the last map value
+
+    def step(self, delta, y, delta_g, y_g):
+        """Accelerated successor of w = (delta, y), or None for plain.
+
+        (delta_g, y_g) = G(w); they are kept until the next call and must
+        not be modified. The result is a pair of views of a buffer that
+        the next call overwrites.
+        """
+        f = self.f
+        half = len(delta)
+        np.subtract(delta_g, delta, out=f[:half])
+        np.subtract(y_g, y, out=f[half:])
+        f *= self.scale
+        norm = float(np.sqrt(f @ f))
+        new = None
+        if self.norm_prev is not None:
+            if norm > self.norm_prev:
+                self.count = self.slot = 0
+            else:
+                new = self._push(delta_g, y_g)
+        self.norm_prev = norm
+        self.f, self.f_prev = self.f_prev, f
+        self.g_prev = (delta_g, y_g)
+        k = self.count
+        if k == 0:
+            return None
+        proj = self.d_f[:k] @ f
+        if new is not None:
+            # d_j (f - f_prev) for every older row j
+            column = proj - self.proj[:k]
+            column[new] = self.gram[new, new]
+            self.gram[new, :k] = column
+            self.gram[:k, new] = column
+        self.proj[:k] = proj
+        # rows scaled to unit length, so the cut-off sees angles, not sizes
+        unit = 1.0 / np.sqrt(np.diag(self.gram)[:k])
+        gamma = unit * np.linalg.lstsq(
+            self.gram[:k, :k] * np.outer(unit, unit), proj * unit, rcond=None
+        )[0]
+        w = self.w
+        np.dot(gamma, self.d_g[:k], out=w)
+        np.subtract(delta_g, w[:half], out=w[:half])
+        np.subtract(y_g, w[half:], out=w[half:])
+        return w[:half], w[half:]
+
+    def _push(self, delta_g, y_g):
+        """Store f - f_prev and g - g_prev; return their row, or None."""
+        s = self.slot
+        d_f = np.subtract(self.f, self.f_prev, out=self.d_f[s])
+        size2 = float(d_f @ d_f)
+        if not size2 > 0.0:
+            # a repeated residual: the row is spoilt, start over
+            self.count = self.slot = 0
+            return None
+        half = len(delta_g)
+        np.subtract(delta_g, self.g_prev[0], out=self.d_g[s, :half])
+        np.subtract(y_g, self.g_prev[1], out=self.d_g[s, half:])
+        self.gram[s, s] = size2
+        self.count = min(self.count + 1, len(self.d_f))
+        self.slot = (s + 1) % len(self.d_f)
+        return s
+
+
 class AdmmSolver:
     """Holds the factorized system and runs load steps to convergence.
 
@@ -350,6 +461,11 @@ class AdmmSolver:
         self.reaction_nodes = reaction_nodes
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
+        self._anderson = None
+        if ANDERSON_WINDOW > 0 and jump.n_points:
+            # residual of (delta, y) in pressure units
+            scale = np.concatenate([self.rho / self._areas2, 1.0 / self._areas2])
+            self._anderson = _Anderson(ANDERSON_WINDOW, scale)
 
     @property
     def n_points(self) -> int:
@@ -405,33 +521,37 @@ class AdmmSolver:
 
         The damage history is frozen during the iterations and committed
         only on success, so each step minimizes a fixed functional.
-        Raises ConvergenceError when the iteration cap is exhausted or at
-        the first non-finite residual.
+        Anderson acceleration picks the next (delta, y) while no Gauss
+        point is loading; the returned state is always the output of the
+        plain map. Raises ConvergenceError when the iteration cap is
+        exhausted or at the first non-finite residual.
         """
         u = state0.u
         delta = state0.delta.copy()
         y = state0.y.copy()
         delta_max = cohesive_state.delta_max
         au_hat = np.empty_like(delta)
+        anderson = self._anderson
+        if anderson is not None:
+            anderson.clear()
 
         for it in range(1, self.config.max_iters + 1):
             u = self.u_update(y, delta, bc_values)
             au = self.jump.A @ u
-            delta_prev = delta
-            # au_hat = r A u + (1 - r) delta_prev, without temporaries
-            np.subtract(au, delta_prev, out=au_hat)
+            # au_hat = r A u + (1 - r) delta, without temporaries
+            np.subtract(au, delta, out=au_hat)
             au_hat *= RELAXATION
-            au_hat += delta_prev
-            delta = self.delta_update(au_hat, y, delta_max)
-            y = multiplier_update(y, self.rho, au_hat, delta)
-            res = self.check_convergence(au, delta, delta_prev)
+            au_hat += delta
+            delta_g = self.delta_update(au_hat, y, delta_max)
+            y_g = multiplier_update(y, self.rho, au_hat, delta_g)
+            res = self.check_convergence(au, delta_g, delta)
             if self.iteration_sink is not None:
                 self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
             if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
                 raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
             if res.converged:
-                state = SolverState(u=u, delta=delta, y=y)
-                cohesive_state.commit(delta, self.params)
+                state = SolverState(u=u, delta=delta_g, y=y_g)
+                cohesive_state.commit(delta_g, self.params)
                 reaction = None
                 if self.reaction_nodes is not None:
                     reaction = reaction_force(
@@ -439,6 +559,17 @@ class AdmmSolver:
                         self.reaction_nodes,
                     )
                 return StepResult(state=state, iterations=it, reaction=reaction)
+            accelerated = None
+            if anderson is not None:
+                # an all-zero opening field (before activation) has no
+                # loading point and skips the per-point test
+                if delta_g.any() and loading_points(
+                    delta_g.reshape(-1, 2), delta_max, self.params
+                ).any():
+                    anderson.clear()
+                else:
+                    accelerated = anderson.step(delta, y, delta_g, y_g)
+            delta, y = accelerated or (delta_g, y_g)
         raise ConvergenceError(
             step, self.config.max_iters, res.primal_inf, res.dual_inf
         )

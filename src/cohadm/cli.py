@@ -88,6 +88,7 @@ def _cmd_run(args) -> int:
             fh.write(f"mesh sha256 {_file_digest(args.mesh)}\n")
             fh.write(f"config sha256 {_file_digest(args.config)}\n")
             fh.write(f"admm relaxation {admm.RELAXATION}\n")
+            fh.write(f"admm anderson_window {admm.ANDERSON_WINDOW}\n")
         record = run_quasistatic(
             mesh,
             config.material,
@@ -148,6 +149,13 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cohadm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,7 +174,7 @@ def build_parser() -> _Parser:
         "local-oracle",
         help="compare the closed-form local solver against brute force",
     )
-    oracle.add_argument("--samples", type=int, default=1000)
+    oracle.add_argument("--samples", type=positive_int, default=1000)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.set_defaults(func=_cmd_local_oracle)
 

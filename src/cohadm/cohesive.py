@@ -155,13 +155,17 @@ def dissipated_energy(delta_max, areas, params: CohesiveParams) -> float:
     return float(np.sum(np.asarray(areas) * 0.5 * params.sigma_c * dm))
 
 
+# An opening within this relative distance below its damage history still
+# counts as on the loading branch, so roundoff is not read as unloading.
+LOADING_RTOL = 1e-9
+
+
 def point_status(delta, delta_max, params: CohesiveParams) -> np.ndarray:
     """State of every Gauss point: closed, opening, unloading or failed.
 
     delta holds (n, 2) openings and delta_max the (n,) damage history.
-    A point whose effective opening sits within a relative 1e-9 of its
-    history is opening, so roundoff on the loading branch is not read as
-    unloading.
+    A point whose effective opening sits within LOADING_RTOL of its
+    history is opening.
     """
     delta_max = np.asarray(delta_max, dtype=float)
     eff = params.effective_opening(delta)
@@ -169,11 +173,23 @@ def point_status(delta, delta_max, params: CohesiveParams) -> np.ndarray:
         [
             delta_max <= 0.0,
             delta_max >= params.delta_c,
-            eff < delta_max * (1.0 - 1e-9),
+            eff < delta_max * (1.0 - LOADING_RTOL),
         ],
         ["closed", "failed", "unloading"],
         "opening",
     )
+
+
+def loading_points(delta, delta_max, params: CohesiveParams) -> np.ndarray:
+    """Mask of the points whose (n, 2) openings are on the loading branch.
+
+    A point loads when its effective opening is positive and not below
+    its damage history by more than LOADING_RTOL, failed points
+    included. Elsewhere the opening is zero or on the unloading secant,
+    where the local solution depends affinely on its drive.
+    """
+    eff = params.effective_opening(delta)
+    return (eff > 0.0) & (eff >= np.asarray(delta_max) * (1.0 - LOADING_RTOL))
 
 
 def local_objective(delta, p, a, delta_max, rho, params: CohesiveParams):

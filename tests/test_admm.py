@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cohadm import admm
 from cohadm.admm import (
     AdmmConfig,
     AdmmSolver,
@@ -9,7 +10,7 @@ from cohadm.admm import (
     factorize_system,
     multiplier_update,
 )
-from cohadm.cohesive import CohesiveState, solve_local
+from cohadm.cohesive import CohesiveState, loading_points, solve_local
 from cohadm.elasticity import assemble_stiffness, reaction_force
 from cohadm.errors import ConfigError, ConvergenceError, SingularSystemError
 from cohadm.mesh import JumpOperator, break_mesh, build_jump_operator
@@ -419,6 +420,77 @@ class TestRunStep:
             2 * cfg.c_primal * jump.areas.max()
         )
 
+    def pull_step(self, soft_material, params, pull, c):
+        """One step from the pristine state, recording every iterate."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=c
+        )
+        iterates = []
+        plain_update = solver.delta_update
+
+        def recorded(au, y, delta_max):
+            delta = plain_update(au, y, delta_max)
+            iterates.append((au.copy(), y.copy(), delta.copy()))
+            return delta
+
+        solver.delta_update = recorded
+        cstate = CohesiveState.pristine(jump.n_points)
+        bc = self.bc_values(dirichlet, right, pull)
+        result = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        return result, iterates, jump, solver
+
+    def test_anderson_saves_iterations_before_activation(
+        self, soft_material, params, monkeypatch
+    ):
+        """Same fixed point as the plain map, reached in fewer iterations."""
+        c = 1e-3
+        fast, _, jump, solver = self.pull_step(soft_material, params, 2e-3, c)
+        monkeypatch.setattr(admm, "ANDERSON_WINDOW", 0)
+        plain, _, _, _ = self.pull_step(soft_material, params, 2e-3, c)
+        assert fast.iterations < plain.iterations
+        tol = 10 * c * jump.areas.mean() / solver.rho
+        assert np.abs(fast.state.u - plain.state.u).max() <= tol
+        assert np.abs(fast.state.delta - plain.state.delta).max() <= tol
+        assert np.abs(fast.state.y - plain.state.y).max() <= 2 * c * jump.areas.max()
+
+    def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
+        """A loading point at every iterate leaves the plain map bit for bit."""
+        fast, seen, _, _ = self.pull_step(soft_material, params, 5e-3, 1e-3)
+        monkeypatch.setattr(admm, "ANDERSON_WINDOW", 0)
+        plain, seen_plain, _, _ = self.pull_step(soft_material, params, 5e-3, 1e-3)
+        assert fast.iterations == plain.iterations > 1
+        dm = np.zeros(len(seen[0][2]) // 2)
+        for got, want in zip(seen, seen_plain):
+            assert loading_points(got[2].reshape(-1, 2), dm, params).any()
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert np.array_equal(fast.state.u, plain.state.u)
+        assert np.array_equal(fast.state.delta, plain.state.delta)
+        assert np.array_equal(fast.state.y, plain.state.y)
+
+    def test_nonfinite_residual_fails_fast_when_accelerated(
+        self, soft_material, params
+    ):
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=1e-4
+        )
+        plain_update = solver.delta_update
+        calls = []
+
+        def poisoned(au, y, delta_max):
+            calls.append(solver._anderson.count)
+            delta = plain_update(au, y, delta_max)
+            return np.full_like(delta, np.nan) if len(calls) == 4 else delta
+
+        solver.delta_update = poisoned
+        cstate = CohesiveState.pristine(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 2e-3)   # before activation
+        with pytest.raises(ConvergenceError) as err:
+            solver.run_step(solver.initial_state(), bc, cstate, step=4)
+        assert calls[-1] > 0          # the poisoned iterate was accelerated
+        assert err.value.iterations == 4
+        assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
+
     def test_reaction_equilibrium(self, soft_material, params):
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
@@ -490,3 +562,26 @@ def test_gauss_point_permutation_invariance(soft_material, params):
     d_base = base.state.delta.reshape(-1, 2)
     d_perm = permuted.state.delta.reshape(-1, 2)
     assert np.abs(d_base[perm] - d_perm).max() <= 1e-10
+
+
+def test_anderson_gram_matches_ring_buffer():
+    """The one-column Gram updates equal dF dF' after the ring wraps, and
+    the accelerated iterates of an affine contraction beat the plain ones."""
+    rng = np.random.default_rng(9)
+    n, window = 12, 3
+    accel = admm._Anderson(window, rng.uniform(0.5, 2.0, size=n))
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    M = Q @ np.diag(np.linspace(0.0, 0.95, n)) @ Q.T
+    b = rng.normal(size=n)
+    w = np.zeros(n)
+    plain = np.zeros(n)
+    for _ in range(15):
+        g = M @ w + b
+        nxt = accel.step(w[: n // 2], w[n // 2 :], g[: n // 2], g[n // 2 :])
+        w = g if nxt is None else np.concatenate(nxt)
+        plain = M @ plain + b
+    assert accel.count == window
+    d_f = accel.d_f
+    assert np.allclose(accel.gram, d_f @ d_f.T, rtol=0, atol=1e-12)
+    fixed = np.linalg.solve(np.eye(n) - M, b)
+    assert np.abs(w - fixed).max() < 0.1 * np.abs(plain - fixed).max()

@@ -68,7 +68,7 @@ def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
     seed = (out / "seed.log").read_text()
     assert re.search(r"mesh sha256 [0-9a-f]{64}", seed)
-    assert "admm relaxation 1.5\n" in seed
+    assert "admm relaxation 1.5\nadmm anderson_window 5\n" in seed
 
 
 def test_run_no_extrapolation_matches_default(strip_inputs, tmp_path):
@@ -156,3 +156,11 @@ def test_local_oracle_reports_gap(capsys):
     match = re.search(r"max_gap=([0-9.e+-]+)", out)
     assert match is not None
     assert float(match.group(1)) < 1e-8
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_local_oracle_rejects_non_positive_samples(samples, capsys):
+    assert main(["local-oracle", "--samples", samples]) == 64
+    err = capsys.readouterr().err
+    assert "error: usage:" in err
+    assert f"must be at least 1, got {samples}" in err

@@ -7,6 +7,7 @@ from cohadm.cohesive import (
     CohesiveParams,
     CohesiveState,
     dissipated_energy,
+    loading_points,
     local_objective,
     phi_c,
     solve_local,
@@ -237,6 +238,23 @@ def test_cohesive_state_irreversible(params):
     state.commit(np.array([[0.002, 0.0], [0.0, 0.006], [0.0, 0.0]]), params)
     assert np.all(state.delta_max >= first)
     assert np.allclose(state.delta_max, [0.01, 0.006, 0.0])
+
+
+def test_loading_points(params):
+    h = 0.5 * DC
+    delta = np.array([
+        [0.0, 0.0],                  # pristine, closed
+        [0.0, 1e-3],                 # pristine, sliding open
+        [h * (1 - 1e-10), 0.0],      # at its history up to roundoff
+        [0.4 * DC, 0.0],             # unloading
+        [0.0, 0.0],                  # damaged, shut
+        [2.0 * DC, 0.0],             # failed, opening further
+        [0.5 * DC, 0.0],             # failed, below its history
+    ])
+    delta_max = np.array([0.0, 0.0, h, h, h, DC, DC])
+    assert loading_points(delta, delta_max, params).tolist() == [
+        False, True, True, False, False, True, False,
+    ]
 
 
 def test_dissipated_energy_values(params):
