@@ -36,6 +36,7 @@ import scipy.sparse.linalg as spla
 from .cohesive import (
     CohesiveParams,
     CohesiveState,
+    LocalSolveContext,
     loading_points,
     solve_local_batch,
     validate_penalty,
@@ -121,6 +122,16 @@ class Residuals:
     primal_inf: float
     dual_inf: float
     converged: bool
+
+
+@dataclass
+class _StepContext:
+    """What run_step holds fixed while it iterates one load step."""
+
+    bc_values: np.ndarray
+    delta_max: np.ndarray
+    lifted: np.ndarray              # coupling @ bc_values
+    local: LocalSolveContext
 
 
 @dataclass
@@ -267,15 +278,24 @@ class Factorization:
         h.update(self.matrix.data.tobytes())
         return h.hexdigest()
 
-    def solve(self, rhs: np.ndarray, bc_values: np.ndarray) -> np.ndarray:
-        """Solve with prescribed values on the fixed DOFs."""
+    def solve(
+        self, rhs: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Solve with prescribed values on the fixed DOFs.
+
+        `lifted` is `coupling @ bc_values`, for a caller that solves many
+        right-hand sides at the same boundary values; it is computed here
+        when not given.
+        """
         u = np.empty(self.matrix.shape[0])
         u[self.fixed] = bc_values
         if self.backend is None:
             return u
         reduced = rhs[self.free]
         if len(self.fixed):
-            reduced = reduced - self.coupling @ bc_values
+            if lifted is None:
+                lifted = self.coupling @ bc_values
+            reduced -= lifted
         u[self.free] = self.backend.solve(reduced)
         return u
 
@@ -433,8 +453,12 @@ class _Anderson:
 class AdmmSolver:
     """Holds the factorized system and runs load steps to convergence.
 
-    Exclusive access is assumed while run_step executes; the underlying
-    matrices are immutable and may be shared across threads.
+    Fixed for the solver's life: the penalty, checked once here, the
+    factor, A^T stored as CSR, and the residual buffers. Fixed for one
+    load step, because the damage history and the boundary values are
+    frozen while it iterates: coupling @ bc_values and the local-solve
+    context. Exclusive access is assumed while run_step executes; the
+    underlying matrices are immutable and may be shared across threads.
     """
 
     def __init__(
@@ -461,6 +485,11 @@ class AdmmSolver:
         self.reaction_nodes = reaction_nodes
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
+        # CSR rows of A^T sum in the order of a CSC product with A.T
+        self._a_t = jump.A.T.tocsr()
+        self._primal = np.empty(2 * jump.n_points)
+        self._jump_step = np.empty(2 * jump.n_points)
+        self._step = None
         self._anderson = None
         if ANDERSON_WINDOW > 0 and jump.n_points:
             # residual of (delta, y) in pressure units
@@ -478,25 +507,48 @@ class AdmmSolver:
         self, y: np.ndarray, delta: np.ndarray, bc_values: np.ndarray
     ) -> np.ndarray:
         """Global quadratic minimization at fixed openings and multipliers."""
-        rhs = -(self.jump.A.T @ (y - self.rho * delta))
-        return self.fact.solve(rhs, bc_values)
+        step = self._step
+        lifted = (
+            step.lifted if step is not None and step.bc_values is bc_values
+            else None
+        )
+        rhs = self._a_t @ (y - self.rho * delta)
+        np.negative(rhs, out=rhs)
+        return self.fact.solve(rhs, bc_values, lifted)
 
     def delta_update(
         self, au: np.ndarray, y: np.ndarray, delta_max: np.ndarray
     ) -> np.ndarray:
         """Separable closed-form minimization at every Gauss point."""
+        step = self._step
+        if step is not None and step.delta_max is delta_max:
+            local = step.local
+        else:
+            # the penalty was checked in __init__
+            local = LocalSolveContext(
+                self.jump.areas, delta_max, self.rho, self.params
+            )
         p = (y + self.rho * au).reshape(-1, 2)
         delta = solve_local_batch(
-            p, self.jump.areas, delta_max, self.rho, self.params
+            p, self.jump.areas, delta_max, self.rho, self.params, context=local
         )
         return delta.reshape(-1)
 
     def check_convergence(
         self, au: np.ndarray, delta: np.ndarray, delta_prev: np.ndarray
     ) -> Residuals:
-        """Pressure residuals: element-wise division by effective areas."""
-        r = self.rho * (au - delta) / self._areas2
-        s = self.rho * (self.jump.A.T @ ((delta - delta_prev) / self._areas2))
+        """Pressure residuals: element-wise division by effective areas.
+
+        The returned primal and dual arrays may point into buffers that
+        the next call overwrites; copy them to keep them.
+        """
+        r = np.subtract(au, delta, out=self._primal)
+        r *= self.rho
+        r /= self._areas2
+        jump_step = np.subtract(delta, delta_prev, out=self._jump_step)
+        jump_step /= self._areas2
+        s = self._a_t @ jump_step
+        s *= self.rho
         primal_inf = float(np.abs(r).max(initial=0.0))
         dual_inf = float(np.abs(s).max(initial=0.0))
         return Residuals(
@@ -534,42 +586,54 @@ class AdmmSolver:
         anderson = self._anderson
         if anderson is not None:
             anderson.clear()
-
-        for it in range(1, self.config.max_iters + 1):
-            u = self.u_update(y, delta, bc_values)
-            au = self.jump.A @ u
-            # au_hat = r A u + (1 - r) delta, without temporaries
-            np.subtract(au, delta, out=au_hat)
-            au_hat *= RELAXATION
-            au_hat += delta
-            delta_g = self.delta_update(au_hat, y, delta_max)
-            y_g = multiplier_update(y, self.rho, au_hat, delta_g)
-            res = self.check_convergence(au, delta_g, delta)
-            if self.iteration_sink is not None:
-                self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
-            if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
-                raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
-            if res.converged:
-                state = SolverState(u=u, delta=delta_g, y=y_g)
-                cohesive_state.commit(delta_g, self.params)
-                reaction = None
-                if self.reaction_nodes is not None:
-                    reaction = reaction_force(
-                        self.stiffness, self.jump, self.rho, state,
-                        self.reaction_nodes,
-                    )
-                return StepResult(state=state, iterations=it, reaction=reaction)
-            accelerated = None
-            if anderson is not None:
-                # an all-zero opening field (before activation) has no
-                # loading point and skips the per-point test
-                if delta_g.any() and loading_points(
-                    delta_g.reshape(-1, 2), delta_max, self.params
-                ).any():
-                    anderson.clear()
-                else:
-                    accelerated = anderson.step(delta, y, delta_g, y_g)
-            delta, y = accelerated or (delta_g, y_g)
-        raise ConvergenceError(
-            step, self.config.max_iters, res.primal_inf, res.dual_inf
+        # frozen until the step returns; the finally drops them because
+        # commit updates delta_max in place
+        self._step = _StepContext(
+            bc_values=bc_values,
+            delta_max=delta_max,
+            lifted=self.fact.coupling @ bc_values,
+            local=LocalSolveContext(
+                self.jump.areas, delta_max, self.rho, self.params
+            ),
         )
+        try:
+            for it in range(1, self.config.max_iters + 1):
+                u = self.u_update(y, delta, bc_values)
+                au = self.jump.A @ u
+                # au_hat = r A u + (1 - r) delta, without temporaries
+                np.subtract(au, delta, out=au_hat)
+                au_hat *= RELAXATION
+                au_hat += delta
+                delta_g = self.delta_update(au_hat, y, delta_max)
+                y_g = multiplier_update(y, self.rho, au_hat, delta_g)
+                res = self.check_convergence(au, delta_g, delta)
+                if self.iteration_sink is not None:
+                    self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
+                if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
+                    raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
+                if res.converged:
+                    state = SolverState(u=u, delta=delta_g, y=y_g)
+                    cohesive_state.commit(delta_g, self.params)
+                    reaction = None
+                    if self.reaction_nodes is not None:
+                        reaction = reaction_force(
+                            self.stiffness, self.jump, self.rho, state,
+                            self.reaction_nodes,
+                        )
+                    return StepResult(state=state, iterations=it, reaction=reaction)
+                accelerated = None
+                if anderson is not None:
+                    # an all-zero opening field (before activation) has no
+                    # loading point and skips the per-point test
+                    if delta_g.any() and loading_points(
+                        delta_g.reshape(-1, 2), delta_max, self.params
+                    ).any():
+                        anderson.clear()
+                    else:
+                        accelerated = anderson.step(delta, y, delta_g, y_g)
+                delta, y = accelerated or (delta_g, y_g)
+            raise ConvergenceError(
+                step, self.config.max_iters, res.primal_inf, res.dual_inf
+            )
+        finally:
+            self._step = None

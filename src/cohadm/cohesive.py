@@ -237,57 +237,24 @@ def validate_penalty(rho, areas, params: CohesiveParams) -> None:
         )
 
 
-def _solve_equal_mixity(pn_pos, ps, a, dm, rho, params, closed):
-    """Closed-form branch tiling for beta = 1.
-
-    With equal mixity the minimizer is radial along (max(p_n, 0), p_s),
-    and the radial derivative of the objective is continuous and strictly
-    increasing, so exactly one branch stationary point is admissible:
-    the unloading secant when it lands below the damage history, the flat
-    failed branch when p exceeds rho delta_c, the loading wedge otherwise.
-    """
-    sc, dc = params.sigma_c, params.delta_c
-    drive = np.hypot(pn_pos, ps)
-    k = _secant_stiffness(dm, params)           # inf where pristine
-    with np.errstate(invalid="ignore"):
-        d_unload = drive / (rho + a * k)
-    # d_unload <= dm, multiplied through by rho + a k: k overflows to inf
-    # for a subnormal history, which would pass any drive as unloading
-    unloads = drive <= rho * dm + a * sc * np.maximum(1.0 - dm / dc, 0.0)
-    d = np.where(
-        (dm > 0.0) & unloads,
-        d_unload,
-        np.where(
-            drive >= rho * dc,
-            drive / rho,
-            np.clip((drive - a * sc) / (rho - a * sc / dc), 0.0, dc),
-        ),
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(drive > 0.0, d / drive, 0.0)
-    scale[closed] = 0.0
-    return np.stack([pn_pos * scale, ps * scale], axis=1)
-
-
-def _loading_root(pn_pos, ps, a, lo, hi, rho, params: CohesiveParams):
+def _loading_root(pn_pos, ps, a_sc, lo, hi, rho, params: CohesiveParams):
     """Effective opening solving radial stationarity on the loading wedge.
 
     Bisection on g(d) = |delta(d)|_eff^2 - d^2 where delta(d) is the
-    stationary opening for wedge slope q(d) = a sigma_c (1/d - 1/delta_c).
-    Under strong convexity g crosses zero at most once on [lo, hi]; with
-    no crossing the bisection collapses onto a bracket endpoint, which the
-    candidate comparison then discards. All arrays, elementwise.
+    stationary opening for wedge slope q(d) = a sigma_c (1/d - 1/delta_c),
+    with a_sc = a sigma_c. Under strong convexity g crosses zero at most
+    once on [lo, hi]; with no crossing the bisection collapses onto a
+    bracket endpoint, which the candidate comparison then discards. All
+    arrays, elementwise; lo and hi are not modified.
     """
-    sc, dc, beta = params.sigma_c, params.delta_c, params.beta
+    dc, beta = params.delta_c, params.beta
 
     def g(d):
-        q = a * sc * (1.0 / d - 1.0 / dc)
+        q = a_sc * (1.0 / d - 1.0 / dc)
         dn = pn_pos / (rho + q)
         ds = ps / (rho + beta * beta * q)
         return dn * dn + (beta * ds) ** 2 - d * d
 
-    lo = lo.copy()
-    hi = hi.copy()
     # 60 halvings of an interval <= delta_c: resolution ~ 1e-18 delta_c
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -297,12 +264,148 @@ def _loading_root(pn_pos, ps, a, lo, hi, rho, params: CohesiveParams):
     return 0.5 * (lo + hi)
 
 
+class LocalSolveContext:
+    """The part of the local solves that stays fixed for one load step.
+
+    Everything here depends only on the areas, the frozen damage history,
+    the penalty and the law, so a load step builds it once and each ADMM
+    iteration only does the work that depends on the drive p. Building
+    one does not check the penalty; solve_local_batch checks it first.
+    """
+
+    def __init__(self, a, delta_max, rho, params: CohesiveParams):
+        sc, dc, beta = params.sigma_c, params.delta_c, params.beta
+        self.a = a = np.asarray(a, dtype=float)
+        self.delta_max = dm = np.asarray(delta_max, dtype=float)
+        self.rho = rho = np.asarray(rho, dtype=float)
+        self.params = params
+        self.a_sc = a * sc                  # activation traction
+        self.pristine = dm <= 0.0
+        self.damaged = dm > 0.0
+        k = _secant_stiffness(dm, params)   # inf where pristine
+        with np.errstate(invalid="ignore"):
+            ak = a * k
+        self.secant = rho + ak              # unloading stiffness, normal axis
+        if beta == 1.0:
+            # pn_pos + |ps| at or below this proves a point closed (see
+            # _solve_equal_mixity); -inf where damaged
+            self.sure_closed = np.where(
+                self.pristine, self.a_sc * (1.0 - 1e-12), -np.inf
+            )
+            # largest drive that unloads: d_unload <= dm multiplied through
+            # by rho + a k, because k overflows to inf for a subnormal
+            # history, which would pass any drive as unloading
+            self.unload_limit = rho * dm + self.a_sc * np.maximum(1.0 - dm / dc, 0.0)
+            self.rho_dc = rho * dc
+            self.softening = rho - self.a_sc / dc   # loading-wedge stiffness
+        else:
+            with np.errstate(invalid="ignore"):
+                self.secant_s = rho + ak * beta * beta   # sliding axis
+            # bracket of the loading root
+            self.lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)
+            self.hi = np.full_like(self.lo, dc)
+
+    def solve(self, p) -> np.ndarray:
+        """Minimizers for the (n, 2) drives p; see solve_local_batch."""
+        p = np.asarray(p, dtype=float).reshape(-1, 2)
+        beta = self.params.beta
+        pn, ps = p[:, 0], p[:, 1]
+        # compression transmits no normal drive; the activation measure
+        # folds the mixity weighting into the sliding component
+        pn_pos = np.maximum(pn, 0.0)
+        if beta == 1.0:
+            return self._solve_equal_mixity(pn_pos, ps)
+        p_eff = np.hypot(pn_pos, ps / beta)
+        closed = self.pristine & (p_eff <= self.a_sc)
+        return self._solve_mixed(p, pn_pos, ps, closed)
+
+    def _solve_equal_mixity(self, pn_pos, ps):
+        """Closed-form branch tiling for beta = 1.
+
+        With equal mixity the minimizer is radial along (max(p_n, 0), p_s),
+        and the radial derivative of the objective is continuous and
+        strictly increasing, so exactly one branch stationary point is
+        admissible: the unloading secant when it lands below the damage
+        history, the flat failed branch when p exceeds rho delta_c, the
+        loading wedge otherwise.
+
+        Only the points that may open are solved. The computed drive
+        hypot(pn_pos, ps) is within a few ulp of the exact norm, which is
+        at most pn_pos + |ps|, so a pristine point whose sum is at most
+        sure_closed has a drive below a sigma_c and stays closed with a
+        zero scale. Every other point takes the same operations as when
+        all points are solved.
+        """
+        scale = np.zeros(len(ps))
+        # every point not proven closed, NaN drives included
+        i = np.flatnonzero(~(pn_pos + np.abs(ps) <= self.sure_closed))
+        if len(i):
+            def take(v):          # rho may be one value for every point
+                return v[i] if np.ndim(v) else v
+
+            a_sc = self.a_sc[i]
+            drive = np.hypot(pn_pos[i], ps[i])
+            closed = self.pristine[i] & (drive <= a_sc)
+            with np.errstate(invalid="ignore"):
+                d_unload = drive / self.secant[i]
+            unloads = drive <= self.unload_limit[i]
+            d = np.where(
+                self.damaged[i] & unloads,
+                d_unload,
+                np.where(
+                    drive >= take(self.rho_dc),
+                    drive / take(self.rho),
+                    np.clip(
+                        (drive - a_sc) / self.softening[i],
+                        0.0, self.params.delta_c,
+                    ),
+                ),
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scale_i = np.where(drive > 0.0, d / drive, 0.0)
+            scale_i[closed] = 0.0
+            scale[i] = scale_i
+        return np.stack([pn_pos * scale, ps * scale], axis=1)
+
+    def _solve_mixed(self, p, pn_pos, ps, closed):
+        """Lowest of three branch candidates, for beta != 1."""
+        a, dm, rho, params = self.a, self.delta_max, self.rho, self.params
+        dc, beta = params.delta_c, params.beta
+
+        # --- candidate 1: unloading secant (only meaningful for dm > 0) --
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = np.stack([pn_pos / self.secant, ps / self.secant_s], axis=1)
+        du = np.where(np.isfinite(du), du, 0.0)
+
+        # --- candidate 2: fully failed (flat potential) ------------------
+        df = np.stack([pn_pos / rho, ps / rho], axis=1)
+
+        # --- candidate 3: loading wedge stationary point -----------------
+        d_load = _loading_root(pn_pos, ps, self.a_sc, self.lo, self.hi, rho, params)
+        q = self.a_sc * (1.0 / d_load - 1.0 / dc)
+        dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
+
+        # --- pick the lowest objective -----------------------------------
+        fu = np.where(
+            self.damaged, local_objective(du, p, a, dm, rho, params), np.inf
+        )
+        ff = local_objective(df, p, a, dm, rho, params)
+        fl = local_objective(dl, p, a, dm, rho, params)
+        best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
+        delta = np.where(
+            (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
+        )
+        delta[closed] = 0.0
+        return delta
+
+
 def solve_local_batch(
     p: np.ndarray,
     a: np.ndarray,
     delta_max: np.ndarray,
     rho,
     params: CohesiveParams,
+    context: LocalSolveContext | None = None,
 ) -> np.ndarray:
     """Minimize the local ADMM objective at every Gauss point.
 
@@ -317,56 +420,20 @@ def solve_local_batch(
         Frozen damage history for this load step.
     rho : float or (n,) array
         Penalty; must satisfy the strong-convexity bound.
+    context : LocalSolveContext, optional
+        The context of these a, delta_max, rho and params, for a caller
+        that solves many drives in one load step and has checked the
+        penalty once. Without it the penalty is checked and a context
+        built for this call.
 
     Returns
     -------
     delta : (n, 2) array with delta_n >= 0 everywhere.
     """
-    p = np.asarray(p, dtype=float).reshape(-1, 2)
-    a = np.asarray(a, dtype=float)
-    dm = np.asarray(delta_max, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    validate_penalty(rho, a, params)
-    sc, dc, beta = params.sigma_c, params.delta_c, params.beta
-
-    pn, ps = p[:, 0], p[:, 1]
-    pn_pos = np.maximum(pn, 0.0)
-    # compression transmits no normal drive; the activation measure folds
-    # the mixity weighting into the sliding component
-    p_eff = np.hypot(pn_pos, ps / beta)
-    closed = (dm <= 0.0) & (p_eff <= a * sc)
-
-    if beta == 1.0:
-        return _solve_equal_mixity(pn_pos, ps, a, dm, rho, params, closed)
-
-    # --- candidate 1: unloading secant (only meaningful for dm > 0) ----
-    k = _secant_stiffness(dm, params)          # inf where dm == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.stack(
-            [pn_pos / (rho + a * k), ps / (rho + a * k * beta * beta)], axis=1
-        )
-    du = np.where(np.isfinite(du), du, 0.0)
-
-    # --- candidate 2: fully failed (flat potential) --------------------
-    df = np.stack([pn_pos / rho, ps / rho], axis=1)
-
-    # --- candidate 3: loading wedge stationary point -------------------
-    lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)
-    hi = np.full_like(lo, dc)
-    d_load = _loading_root(pn_pos, ps, a, lo, hi, rho, params)
-    q = a * sc * (1.0 / d_load - 1.0 / dc)
-    dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
-
-    # --- pick the lowest objective -------------------------------------
-    fu = np.where(dm > 0, local_objective(du, p, a, dm, rho, params), np.inf)
-    ff = local_objective(df, p, a, dm, rho, params)
-    fl = local_objective(dl, p, a, dm, rho, params)
-    best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
-    delta = np.where(
-        (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
-    )
-    delta[closed] = 0.0
-    return delta
+    if context is None:
+        validate_penalty(rho, a, params)
+        context = LocalSolveContext(a, delta_max, rho, params)
+    return context.solve(p)
 
 
 def solve_local(

@@ -10,11 +10,18 @@ from cohadm.admm import (
     factorize_system,
     multiplier_update,
 )
-from cohadm.cohesive import CohesiveState, loading_points, solve_local
-from cohadm.elasticity import assemble_stiffness, reaction_force
+from cohadm.cohesive import (
+    CohesiveParams,
+    CohesiveState,
+    loading_points,
+    solve_local,
+    solve_local_batch,
+)
+from cohadm.driver import LoadSchedule, run_quasistatic
+from cohadm.elasticity import Material, assemble_stiffness, reaction_force
 from cohadm.errors import ConfigError, ConvergenceError, SingularSystemError
 from cohadm.mesh import JumpOperator, break_mesh, build_jump_operator
-from cohadm.meshgen import rect_strip
+from cohadm.meshgen import porous_plate, rect_strip
 
 from oracles import conforming_solve
 
@@ -49,6 +56,15 @@ class TestConfig:
             AdmmConfig(c_primal=0.0)
         with pytest.raises(ConfigError):
             AdmmConfig(max_iters=0)
+
+    def test_solver_checks_penalty_at_construction(self, soft_material):
+        # beta^2 = 400 puts the bound above rho = 100 mean(a) sigma_c/delta_c
+        weak = CohesiveParams(sigma_c=SC, delta_c=DC, beta=20.0)
+        with pytest.raises(ConfigError, match="strong-convexity"):
+            make_solver(
+                rect_strip(4.0, 2.0, 4, 2), soft_material, weak, AdmmConfig(),
+                [("left", "xy")],
+            )
 
     def test_penalty_formula(self, params):
         cfg = AdmmConfig(alpha=100.0)
@@ -236,6 +252,27 @@ class TestDeltaUpdate:
             assert mine <= brute + 1e-8 * (jump.areas[i] * SC * DC)
 
 
+    def test_after_a_step_sees_the_committed_history(self, soft_material, params):
+        """run_step's per-step context is gone once the step commits."""
+        mesh = rect_strip(4.0, 2.0, 4, 2)
+        bm, jump, _, solver, dirichlet = make_solver(
+            mesh, soft_material, params, AdmmConfig(),
+            [("left", "x"), ("pin", "y"), ("right", "x")],
+        )
+        bc = np.zeros(len(dirichlet))
+        bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 5e-3
+        cstate = CohesiveState.pristine(jump.n_points)
+        result = solver.run_step(solver.initial_state(), bc, cstate)
+        assert cstate.delta_max.max() > 0.0
+        au = jump.A @ result.state.u
+        got = solver.delta_update(au, result.state.y, cstate.delta_max)
+        p = (result.state.y + solver.rho * au).reshape(-1, 2)
+        want = solve_local_batch(
+            p, jump.areas, cstate.delta_max.copy(), solver.rho, params
+        )
+        assert got.tobytes() == want.reshape(-1).tobytes()
+
+
 class TestMultiplier:
     def test_fixed_point_unchanged(self):
         y = np.array([1.0, -2.0])
@@ -269,11 +306,16 @@ class TestConvergenceCheck:
         """One point with area 0.5, rho 10, gap (0.01, 0) gives 0.2."""
         from types import SimpleNamespace
 
+        A = sp.csr_matrix(np.ones((2, 4)))
         fake = SimpleNamespace(
             rho=10.0,
             _areas2=np.repeat(np.array([0.5]), 2),
-            jump=SimpleNamespace(A=sp.csr_matrix(np.ones((2, 4)))),
+            jump=SimpleNamespace(A=A),
             config=AdmmConfig(c_primal=0.3, c_dual=1e9),
+            # the solver's cached transpose and residual buffers
+            _a_t=A.T.tocsr(),
+            _primal=np.empty(2),
+            _jump_step=np.empty(2),
         )
         delta = np.zeros(2)
         au = np.array([0.01, 0.0])
@@ -585,3 +627,108 @@ def test_anderson_gram_matches_ring_buffer():
     assert np.allclose(accel.gram, d_f @ d_f.T, rtol=0, atol=1e-12)
     fixed = np.linalg.solve(np.eye(n) - M, b)
     assert np.abs(w - fixed).max() < 0.1 * np.abs(plain - fixed).max()
+
+
+def reference_run_step(solver, state0, bc_values, cohesive_state):
+    """One load step as the iteration computed it before the per-step
+    context: A.T built for every product, a checked local solve per
+    iteration, coupling @ bc_values per solve and residuals from fresh
+    temporaries. Commits nothing; returns (state, iterations)."""
+    jump, rho, params, fact = solver.jump, solver.rho, solver.params, solver.fact
+    areas2 = np.repeat(jump.areas, 2)
+    delta_max = cohesive_state.delta_max
+    anderson = admm._Anderson(
+        admm.ANDERSON_WINDOW, np.concatenate([rho / areas2, 1.0 / areas2])
+    )
+    u, delta, y = state0.u, state0.delta.copy(), state0.y.copy()
+    for it in range(1, solver.config.max_iters + 1):
+        rhs = -(jump.A.T @ (y - rho * delta))
+        u = np.empty(jump.n_dof)
+        u[fact.fixed] = bc_values
+        reduced = rhs[fact.free] - fact.coupling @ bc_values
+        u[fact.free] = fact.backend.solve(reduced)
+        au = jump.A @ u
+        au_hat = (au - delta) * admm.RELAXATION + delta
+        p = (y + rho * au_hat).reshape(-1, 2)
+        delta_g = solve_local_batch(p, jump.areas, delta_max, rho, params)
+        delta_g = delta_g.reshape(-1)
+        y_g = y + rho * (au_hat - delta_g)
+        r = rho * (au - delta_g) / areas2
+        s = rho * (jump.A.T @ ((delta_g - delta) / areas2))
+        if (
+            np.abs(r).max(initial=0.0) < solver.config.c_primal
+            and np.abs(s).max(initial=0.0) < solver.config.c_dual
+        ):
+            return SolverState(u=u, delta=delta_g, y=y_g), it
+        accelerated = None
+        if delta_g.any() and loading_points(
+            delta_g.reshape(-1, 2), delta_max, params
+        ).any():
+            anderson.clear()
+        else:
+            accelerated = anderson.step(delta, y, delta_g, y_g)
+        delta, y = accelerated or (delta_g, y_g)
+    raise AssertionError("reference step did not converge")
+
+
+def check_every_step(monkeypatch):
+    """Make AdmmSolver.run_step compare each step with the reference.
+
+    Returns the list of per-step iteration counts the check fills.
+    """
+    run_step = AdmmSolver.run_step
+    counts = []
+
+    def checked(self, state0, bc_values, cohesive_state, step=0):
+        want, want_iters = reference_run_step(
+            self, state0, bc_values, cohesive_state.copy()
+        )
+        got = run_step(self, state0, bc_values, cohesive_state, step)
+        assert got.iterations == want_iters, f"step {step}"
+        for name in ("u", "delta", "y"):
+            # bytes, so that a flipped sign of zero counts as a change
+            mine, ref = getattr(got.state, name), getattr(want, name)
+            assert mine.tobytes() == ref.tobytes(), f"step {step}: {name}"
+        counts.append(got.iterations)
+        return got
+
+    monkeypatch.setattr(AdmmSolver, "run_step", checked)
+    return counts
+
+
+def test_iterates_match_reference_through_the_snap(soft_material, params, monkeypatch):
+    """The fracture strip of test_driver: activation, peak, and the snap
+    into one crack, the step that takes by far the most iterations."""
+    counts = check_every_step(monkeypatch)
+    schedule = LoadSchedule(
+        bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
+        fixed_sets=(("left", "x"), ("pin", "y")),
+    )
+    record = run_quasistatic(
+        rect_strip(4.0, 2.0, 4, 4), soft_material, params, schedule, AdmmConfig()
+    )
+    assert len(counts) == 60 and max(counts) > 100
+    stresses = np.asarray(record.stresses)
+    assert stresses[-1] < 0.8 * stresses.max()
+
+
+def test_iterates_match_reference_at_mixity_two(monkeypatch):
+    """A porous plate at beta = 2 through its peak: every step takes the
+    general three-candidate local solve, with opening and unloading points."""
+    counts = check_every_step(monkeypatch)
+    material = Material(youngs_modulus=30000.0, poisson_ratio=0.2,
+                        mode="plane_stress", thickness=1.0)
+    mixed = CohesiveParams(sigma_c=SC, delta_c=DC, beta=2.0)
+    mesh = porous_plate(
+        width=10.0, height=10.0, nx=8, ny=8, n_pores=2, pore_radius=(1.0, 1.5),
+        min_gap=1.0, margin=1.5, seed=4,
+    )
+    schedule = LoadSchedule(
+        bc_set="right", direction="x", u_start=0.0, u_end=0.004, n_steps=16,
+        fixed_sets=(("left", "x"), ("pin", "y")),
+    )
+    record = run_quasistatic(mesh, material, mixed, schedule, AdmmConfig())
+    assert len(counts) == 16 and max(counts) > 50
+    stresses = np.asarray(record.stresses)
+    assert stresses.argmax() < len(stresses) - 1        # past the peak
+    assert (record.cohesive_state.delta_max > 0.0).sum() > 10

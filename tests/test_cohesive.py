@@ -188,6 +188,20 @@ class TestSolveLocal:
         with pytest.raises(ConfigError, match="strong-convexity"):
             solve_local([1.0, 0.0], 1.0, 0.0, SC / DC, params)
 
+    @pytest.mark.parametrize("single", [False, True], ids=["batch", "single"])
+    def test_weak_penalty_rejected_on_every_call(self, params, single):
+        """The public solvers check the penalty themselves; only a caller
+        passing a LocalSolveContext skips the check."""
+        rho = 0.5 * SC / DC       # above the bound at area 0.1, below it at 1
+        p = np.array([[1.0, 0.0], [4.0, 1.0]])
+        a = np.array([0.1, 1.0])
+        dm = np.array([0.0, 0.5 * DC])
+        with pytest.raises(ConfigError, match="strong-convexity"):
+            if single:
+                solve_local(p[1], a[1], dm[1], rho, params)
+            else:
+                solve_local_batch(p, a, dm, rho, params)
+
     def test_subnormal_history_still_loads(self):
         """A subnormal delta_max overflows the secant slope to inf."""
         params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=1.0)
@@ -228,6 +242,100 @@ class TestSolveLocal:
         mine = local_objective(delta, p, a, dm, rho, params)
         brute, _ = brute_force_minimum(p, a, dm, rho, SC, DC, beta)
         assert mine <= brute + 1e-8 * (a * SC * DC)
+
+
+def full_local_solve(p, a, dm, rho, params):
+    """The local solve evaluated at every point, with every step-constant
+    term computed in the call: the reference for the solve that builds
+    those terms once per step and, at beta = 1, skips points proven
+    closed."""
+    sc, dc, beta = params.sigma_c, params.delta_c, params.beta
+    pn_pos, ps = np.maximum(p[:, 0], 0.0), p[:, 1]
+    closed = (dm <= 0.0) & (np.hypot(pn_pos, ps / beta) <= a * sc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = sc * np.maximum(1.0 - dm / dc, 0.0) / dm
+    k = np.where(dm > 0, k, np.inf)
+    if beta == 1.0:
+        drive = np.hypot(pn_pos, ps)
+        with np.errstate(invalid="ignore"):
+            d_unload = drive / (rho + a * k)
+        unloads = drive <= rho * dm + a * sc * np.maximum(1.0 - dm / dc, 0.0)
+        d = np.where(
+            (dm > 0.0) & unloads,
+            d_unload,
+            np.where(
+                drive >= rho * dc,
+                drive / rho,
+                np.clip((drive - a * sc) / (rho - a * sc / dc), 0.0, dc),
+            ),
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(drive > 0.0, d / drive, 0.0)
+        scale[closed] = 0.0
+        return np.stack([pn_pos * scale, ps * scale], axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.stack(
+            [pn_pos / (rho + a * k), ps / (rho + a * k * beta * beta)], axis=1
+        )
+    du = np.where(np.isfinite(du), du, 0.0)
+    df = np.stack([pn_pos / rho, ps / rho], axis=1)
+    lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)
+    hi = np.full_like(lo, dc)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        q = a * sc * (1.0 / mid - 1.0 / dc)
+        dn = pn_pos / (rho + q)
+        ds = ps / (rho + beta * beta * q)
+        pos = dn * dn + (beta * ds) ** 2 - mid * mid > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    d_load = 0.5 * (lo + hi)
+    q = a * sc * (1.0 / d_load - 1.0 / dc)
+    dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
+    fu = np.where(dm > 0, local_objective(du, p, a, dm, rho, params), np.inf)
+    ff = local_objective(df, p, a, dm, rho, params)
+    fl = local_objective(dl, p, a, dm, rho, params)
+    best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
+    delta = np.where(
+        (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
+    )
+    delta[closed] = 0.0
+    return delta
+
+
+@pytest.mark.parametrize("per_point_rho", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 0.5])
+def test_local_solve_matches_full_evaluation(beta, per_point_rho):
+    """Bit for bit, with drives on both sides of the activation traction
+    down to 1e-13 of it, and pristine, unloading, loading and failed
+    histories."""
+    params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=beta)
+    rng = np.random.default_rng(41)
+    n = 4000
+    a = rng.uniform(0.5, 2.0, size=n)
+    dm = rng.choice([0.0, 0.3 * DC, 0.8 * DC, 1.5 * DC, 1e-300], size=n)
+    dm = np.where(rng.random(n) < 0.5, dm, rng.uniform(0.0, DC, size=n))
+    dm[rng.random(n) < 0.3] = 0.0
+    ratio = rng.choice(
+        [0.0, 0.5, 1.0 - 1e-7, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-7, 1.5, 40.0],
+        size=n,
+    )
+    angle = rng.uniform(-np.pi, np.pi, size=n)
+    angle[rng.random(n) < 0.2] = 0.0         # pure normal drive: hypot is exact
+    p = (ratio * a * SC)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    rho = 100.0 * a.mean() * SC / DC * max(1.0, beta**2)
+    if per_point_rho:
+        rho = rho * rng.uniform(0.5, 1.5, size=n)
+    got = solve_local_batch(p, a, dm, rho, params)
+    want = full_local_solve(p, a, dm, np.asarray(rho), params)
+    assert got.tobytes() == want.tobytes()
+    # every branch occurs
+    opened = params.effective_opening(got) > 0.0
+    assert opened.any() and not opened.all()
+    assert (opened & (dm == 0.0)).any() and (opened & (dm >= DC)).any()
+    unloading = opened & (params.effective_opening(got) < dm * (1 - 1e-9))
+    assert (unloading & (got[:, 1] != 0.0)).any()
 
 
 def test_cohesive_state_irreversible(params):
