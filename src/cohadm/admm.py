@@ -125,16 +125,6 @@ class Residuals:
 
 
 @dataclass
-class _StepContext:
-    """What run_step holds fixed while it iterates one load step."""
-
-    bc_values: np.ndarray
-    delta_max: np.ndarray
-    lifted: np.ndarray              # coupling @ bc_values
-    local: LocalSolveContext
-
-
-@dataclass
 class StepResult:
     """Converged solution of one load step."""
 
@@ -264,38 +254,25 @@ class _SuperLuBackend:
 class Factorization:
     """Reusable factorization of the Dirichlet-reduced K + rho A^T A."""
 
-    matrix: sp.csr_matrix          # full (unreduced) operator
     backend: _SuperLuBackend | None   # None when every DOF is fixed
     free: np.ndarray
     fixed: np.ndarray
     coupling: sp.csr_matrix        # rows free, columns fixed
 
-    def checksum(self) -> str:
-        """Digest of the operator; constant across all steps of a run."""
-        h = hashlib.sha256()
-        h.update(self.matrix.indptr.tobytes())
-        h.update(self.matrix.indices.tobytes())
-        h.update(self.matrix.data.tobytes())
-        return h.hexdigest()
-
     def solve(
-        self, rhs: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray | None = None
+        self, rhs: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray
     ) -> np.ndarray:
         """Solve with prescribed values on the fixed DOFs.
 
-        `lifted` is `coupling @ bc_values`, for a caller that solves many
-        right-hand sides at the same boundary values; it is computed here
-        when not given.
+        `lifted` is `coupling @ bc_values`, the same for every right-hand
+        side solved at these boundary values.
         """
-        u = np.empty(self.matrix.shape[0])
+        u = np.empty(len(self.free) + len(self.fixed))
         u[self.fixed] = bc_values
         if self.backend is None:
             return u
         reduced = rhs[self.free]
-        if len(self.fixed):
-            if lifted is None:
-                lifted = self.coupling @ bc_values
-            reduced -= lifted
+        reduced -= lifted
         u[self.free] = self.backend.solve(reduced)
         return u
 
@@ -344,8 +321,7 @@ def factorize_system(
             # not positive definite despite the rigid-mode check
             raise SingularSystemError(0) from exc
     return Factorization(
-        matrix=M, backend=backend, free=free, fixed=dirichlet_dofs,
-        coupling=coupling,
+        backend=backend, free=free, fixed=dirichlet_dofs, coupling=coupling
     )
 
 
@@ -453,12 +429,14 @@ class _Anderson:
 class AdmmSolver:
     """Holds the factorized system and runs load steps to convergence.
 
-    Fixed for the solver's life: the penalty, checked once here, the
-    factor, A^T stored as CSR, and the residual buffers. Fixed for one
-    load step, because the damage history and the boundary values are
-    frozen while it iterates: coupling @ bc_values and the local-solve
-    context. Exclusive access is assumed while run_step executes; the
-    underlying matrices are immutable and may be shared across threads.
+    The solver holds only what is fixed for its life: the penalty,
+    checked once here, the factor, A^T stored as CSR, and the residual
+    buffers. What is fixed for one load step, because the damage history
+    and the boundary values are frozen while it iterates, run_step builds
+    as locals and passes to the updates: coupling @ bc_values and the
+    local-solve context. Exclusive access is assumed while run_step
+    executes; the underlying matrices are immutable and may be shared
+    across threads.
     """
 
     def __init__(
@@ -481,7 +459,6 @@ class AdmmSolver:
         self.fact = factorize_system(
             stiffness.K, jump.A, self.rho, dirichlet_dofs, coords
         )
-        self.dirichlet_dofs = self.fact.fixed
         self.reaction_nodes = reaction_nodes
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
@@ -489,7 +466,6 @@ class AdmmSolver:
         self._a_t = jump.A.T.tocsr()
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)
-        self._step = None
         self._anderson = None
         if ANDERSON_WINDOW > 0 and jump.n_points:
             # residual of (delta, y) in pressure units
@@ -503,34 +479,51 @@ class AdmmSolver:
     def initial_state(self) -> SolverState:
         return SolverState.zeros(self.jump.n_dof, self.jump.n_points)
 
+    def checksum(self) -> str:
+        """Digest of K and A, the matrices the factor was built from.
+
+        Constant across all steps of a run; a change means the factor no
+        longer matches the operator the iteration applies.
+        """
+        h = hashlib.sha256()
+        for m in (self.stiffness.K, self.jump.A):
+            h.update(m.indptr.tobytes())
+            h.update(m.indices.tobytes())
+            h.update(m.data.tobytes())
+        return h.hexdigest()
+
+    def local_context(self, delta_max: np.ndarray) -> LocalSolveContext:
+        """Local-solve context at the frozen damage history delta_max.
+
+        The penalty was checked in __init__.
+        """
+        return LocalSolveContext(self.jump.areas, delta_max, self.rho, self.params)
+
     def u_update(
-        self, y: np.ndarray, delta: np.ndarray, bc_values: np.ndarray
+        self,
+        y: np.ndarray,
+        delta: np.ndarray,
+        bc_values: np.ndarray,
+        lifted: np.ndarray,
     ) -> np.ndarray:
-        """Global quadratic minimization at fixed openings and multipliers."""
-        step = self._step
-        lifted = (
-            step.lifted if step is not None and step.bc_values is bc_values
-            else None
-        )
+        """Global quadratic minimization at fixed openings and multipliers.
+
+        `lifted` is `fact.coupling @ bc_values`.
+        """
         rhs = self._a_t @ (y - self.rho * delta)
         np.negative(rhs, out=rhs)
         return self.fact.solve(rhs, bc_values, lifted)
 
     def delta_update(
-        self, au: np.ndarray, y: np.ndarray, delta_max: np.ndarray
+        self, au: np.ndarray, y: np.ndarray, local: LocalSolveContext
     ) -> np.ndarray:
-        """Separable closed-form minimization at every Gauss point."""
-        step = self._step
-        if step is not None and step.delta_max is delta_max:
-            local = step.local
-        else:
-            # the penalty was checked in __init__
-            local = LocalSolveContext(
-                self.jump.areas, delta_max, self.rho, self.params
-            )
+        """Separable closed-form minimization at every Gauss point.
+
+        `local` is the local_context of the step's damage history.
+        """
         p = (y + self.rho * au).reshape(-1, 2)
         delta = solve_local_batch(
-            p, self.jump.areas, delta_max, self.rho, self.params, context=local
+            p, local.a, local.delta_max, self.rho, self.params, context=local
         )
         return delta.reshape(-1)
 
@@ -586,54 +579,45 @@ class AdmmSolver:
         anderson = self._anderson
         if anderson is not None:
             anderson.clear()
-        # frozen until the step returns; the finally drops them because
-        # commit updates delta_max in place
-        self._step = _StepContext(
-            bc_values=bc_values,
-            delta_max=delta_max,
-            lifted=self.fact.coupling @ bc_values,
-            local=LocalSolveContext(
-                self.jump.areas, delta_max, self.rho, self.params
-            ),
+        # frozen for the whole step: commit updates the history only once
+        # the step has converged
+        lifted = self.fact.coupling @ bc_values
+        local = self.local_context(delta_max)
+        for it in range(1, self.config.max_iters + 1):
+            u = self.u_update(y, delta, bc_values, lifted)
+            au = self.jump.A @ u
+            # au_hat = r A u + (1 - r) delta, without temporaries
+            np.subtract(au, delta, out=au_hat)
+            au_hat *= RELAXATION
+            au_hat += delta
+            delta_g = self.delta_update(au_hat, y, local)
+            y_g = multiplier_update(y, self.rho, au_hat, delta_g)
+            res = self.check_convergence(au, delta_g, delta)
+            if self.iteration_sink is not None:
+                self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
+            if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
+                raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
+            if res.converged:
+                state = SolverState(u=u, delta=delta_g, y=y_g)
+                cohesive_state.commit(delta_g, self.params)
+                reaction = None
+                if self.reaction_nodes is not None:
+                    reaction = reaction_force(
+                        self.stiffness, self.jump, self.rho, state,
+                        self.reaction_nodes,
+                    )
+                return StepResult(state=state, iterations=it, reaction=reaction)
+            accelerated = None
+            if anderson is not None:
+                # an all-zero opening field (before activation) has no
+                # loading point and skips the per-point test
+                if delta_g.any() and loading_points(
+                    delta_g.reshape(-1, 2), delta_max, self.params
+                ).any():
+                    anderson.clear()
+                else:
+                    accelerated = anderson.step(delta, y, delta_g, y_g)
+            delta, y = accelerated or (delta_g, y_g)
+        raise ConvergenceError(
+            step, self.config.max_iters, res.primal_inf, res.dual_inf
         )
-        try:
-            for it in range(1, self.config.max_iters + 1):
-                u = self.u_update(y, delta, bc_values)
-                au = self.jump.A @ u
-                # au_hat = r A u + (1 - r) delta, without temporaries
-                np.subtract(au, delta, out=au_hat)
-                au_hat *= RELAXATION
-                au_hat += delta
-                delta_g = self.delta_update(au_hat, y, delta_max)
-                y_g = multiplier_update(y, self.rho, au_hat, delta_g)
-                res = self.check_convergence(au, delta_g, delta)
-                if self.iteration_sink is not None:
-                    self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
-                if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
-                    raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
-                if res.converged:
-                    state = SolverState(u=u, delta=delta_g, y=y_g)
-                    cohesive_state.commit(delta_g, self.params)
-                    reaction = None
-                    if self.reaction_nodes is not None:
-                        reaction = reaction_force(
-                            self.stiffness, self.jump, self.rho, state,
-                            self.reaction_nodes,
-                        )
-                    return StepResult(state=state, iterations=it, reaction=reaction)
-                accelerated = None
-                if anderson is not None:
-                    # an all-zero opening field (before activation) has no
-                    # loading point and skips the per-point test
-                    if delta_g.any() and loading_points(
-                        delta_g.reshape(-1, 2), delta_max, self.params
-                    ).any():
-                        anderson.clear()
-                    else:
-                        accelerated = anderson.step(delta, y, delta_g, y_g)
-                delta, y = accelerated or (delta_g, y_g)
-            raise ConvergenceError(
-                step, self.config.max_iters, res.primal_inf, res.dual_inf
-            )
-        finally:
-            self._step = None

@@ -160,6 +160,8 @@ def _dirichlet_layout(mesh: BrokenMesh, schedule: LoadSchedule):
     sets = mesh.input_mesh.boundary_sets
     if schedule.bc_set not in sets:
         raise ConfigError(f"unknown boundary set {schedule.bc_set!r}")
+    if not sets[schedule.bc_set].size:
+        raise ConfigError(f"boundary set {schedule.bc_set!r} has no nodes")
     driven = mesh.dofs_of(sets[schedule.bc_set], schedule.direction)
     fixed_parts = []
     for name, components in schedule.fixed_sets:
@@ -198,13 +200,13 @@ def run_quasistatic(
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
-    `partial_record`. Raises OperatorMutatedError when the factorized
-    operator changed during the run (its factor would no longer match).
+    `partial_record`. Raises OperatorMutatedError when K or A changed
+    during the run (the factor would no longer match them).
     """
     mesh = break_mesh(input_mesh)
+    dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
     jump = build_jump_operator(mesh, thickness=material.thickness)
     stiffness = assemble_stiffness(mesh, material)
-    dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
     reaction_nodes = mesh.private_nodes_of(
         input_mesh.boundary_sets[schedule.bc_set]
     )
@@ -218,7 +220,7 @@ def run_quasistatic(
         reaction_nodes=reaction_nodes,
         iteration_sink=iteration_sink,
     )
-    matrix_digest = solver.fact.checksum()
+    matrix_digest = solver.checksum()
     if setup_sink is not None:
         setup_sink(mesh, jump, solver)
 
@@ -311,7 +313,7 @@ def run_quasistatic(
             quality = extrapolation_quality(z_new, z_prev, trial, scale)
         z_before, z_prev = z_prev, z_new
 
-    if solver.fact.checksum() != matrix_digest:
+    if solver.checksum() != matrix_digest:
         raise OperatorMutatedError("system operator changed during the run")
     record.final_state = z_prev
     record.cohesive_state = cstate

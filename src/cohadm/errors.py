@@ -57,4 +57,4 @@ class ConvergenceError(CohadmError):
 
 
 class OperatorMutatedError(CohadmError):
-    """The factorized operator K + rho A^T A changed during a run."""
+    """K or A, which K + rho A^T A was factored from, changed during a run."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -240,6 +241,8 @@ def _take(section: dict, path: str, key: str, kind, default=...):
         raise ConfigError(
             f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be finite, got {value}")
     return value
 
 
@@ -265,6 +268,10 @@ def parse_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     data = dict(data)
+    # the optional sections may be absent or empty
+    for name in ("policy", "output"):
+        if data.get(name) is None:
+            data[name] = {}
 
     sec = dict(_section(data, "material"))
     try:
@@ -322,14 +329,14 @@ def parse_config(path) -> RunConfig:
     )
     _reject_unknown(sec, "schedule")
 
-    sec = dict(data.get("policy") or {})
+    sec = dict(_section(data, "policy"))
     policy = ExtrapolationPolicy(
         enabled=_take(sec, "policy", "extrapolation", bool, True),
         quality_threshold=_take(sec, "policy", "quality_threshold", float, 2.0),
     )
     _reject_unknown(sec, "policy")
 
-    sec = dict(data.get("output") or {})
+    sec = dict(_section(data, "output"))
     output = OutputOptions(
         directory=_take(sec, "output", "directory", str, "out"),
         per_step_fields=_take(sec, "output", "per_step_fields", bool, False),

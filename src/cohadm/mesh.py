@@ -90,6 +90,9 @@ class InputMesh:
             raise MeshError("nodes must be an (n, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (m, 3) array")
+        if not np.isfinite(self.nodes).all():
+            bad = int(np.argmin(np.isfinite(self.nodes).all(axis=1)))
+            raise MeshError(f"node {bad} has a non-finite coordinate")
         n = self.n_nodes
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= n
@@ -256,17 +259,12 @@ class JumpOperator:
         Gauss point positions in the reference configuration.
     edge_index : (n_points,) int array
         Interface edge owning each Gauss point.
-    edge_triangles : (n_edges, 2) int array
-        Minus and plus triangle of each interface edge.
     """
 
     A: sp.csr_matrix
     areas: np.ndarray
     points: np.ndarray
     edge_index: np.ndarray
-    edge_triangles: np.ndarray
-    thickness: float
-    gauss_per_edge: int
 
     @property
     def n_points(self) -> int:
@@ -354,7 +352,4 @@ def build_jump_operator(
         areas=areas,
         points=points.reshape(-1, 2),
         edge_index=np.repeat(np.arange(n_edges, dtype=np.int64), gauss_per_edge),
-        edge_triangles=np.stack([minus_tri, plus_tri], axis=1),
-        thickness=thickness,
-        gauss_per_edge=gauss_per_edge,
     )

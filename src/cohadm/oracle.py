@@ -23,23 +23,6 @@ _FINE_ROUNDS = 6
 _SHRINK = 2.5
 
 
-def thread_cap() -> int:
-    """Width cap for the brute-force pool, from the COHADM_THREADS variable.
-
-    0 or unset means auto (bounded by the CPU count); any positive value
-    caps the width at that number. Chunks write disjoint slices, so
-    results do not depend on the width.
-    """
-    raw = os.environ.get("COHADM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
 def _potential(d_eff, d_max, sigma_c, delta_c):
     """Cohesive energy per area, spelled out from the shaded areas."""
     d_eff = np.asarray(d_eff)
@@ -186,7 +169,8 @@ def run_oracle(n_samples: int, seed: int, chunk: int = 512) -> OracleReport:
             p[sl], a[sl], d_max[sl], rho[sl], sigma_c, delta_c, beta[sl]
         )
 
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+    # chunks write disjoint slices, so results do not depend on the width
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
         list(pool.map(_run_chunk, range(0, n_samples, chunk)))
     gaps = (solver_val - brute_val) / (a * sigma_c * delta_c)
     return OracleReport(

@@ -104,6 +104,18 @@ def test_run_bad_config_exits_one(strip_inputs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_run_non_finite_tolerance_exits_one(strip_inputs, tmp_path, capsys):
+    mesh_path, config_path = strip_inputs
+    text = config_path.read_text().replace("c_primal: 0.01", "c_primal: .inf")
+    config_path.write_text(text)
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "inf")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "admm.c_primal: must be finite" in err
+
+
 def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
     mesh_path, config_path = strip_inputs
     text = config_path.read_text().replace("c_primal: 0.01", "c_primal: 1.0e-9")

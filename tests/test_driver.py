@@ -279,14 +279,26 @@ def test_single_triangle_without_interfaces(params):
     assert np.allclose(forces, [0.5, 1.0, 1.5], rtol=1e-12)
 
 
-def test_operator_mutation_raises(soft_material, params):
+@pytest.mark.parametrize("matrix", ["A", "K"])
+def test_operator_mutation_raises(soft_material, params, matrix):
     mesh = rect_strip(4.0, 2.0, 4, 2)
 
     def tamper(broken, jump, solver):
-        solver.fact.matrix.data[0] *= 2.0
+        target = jump.A if matrix == "A" else solver.stiffness.K
+        target.data[0] *= 2.0
 
     with pytest.raises(OperatorMutatedError):
         run_quasistatic(
             mesh, soft_material, params, small_strip_schedule(0.001, 2),
             AdmmConfig(), setup_sink=tamper,
+        )
+
+
+def test_empty_driven_set_rejected(soft_material, params):
+    mesh = rect_strip(4.0, 2.0, 4, 2)
+    mesh.boundary_sets["right"] = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ConfigError, match="boundary set 'right' has no nodes"):
+        run_quasistatic(
+            mesh, soft_material, params, small_strip_schedule(0.001, 2),
+            AdmmConfig(),
         )

@@ -144,6 +144,12 @@ class TestMeshParsing:
         with pytest.raises(MeshParseError, match="count"):
             parse_mesh(path)
 
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.mesh"
+        path.write_text(TWO_TRI.replace("3 1.0 1.0", "3 nan 1.0"))
+        with pytest.raises(MeshParseError, match="node 2 has a non-finite"):
+            parse_mesh(path)
+
     def test_node_set_out_of_range(self, tmp_path):
         bad = TWO_TRI.replace("pin 1", "pin 17")
         path = tmp_path / "set.mesh"
@@ -236,6 +242,35 @@ class TestConfigParsing:
         path = tmp_path / "c.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError, match="schedule.n_steps"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "section, value", [("policy", "[1, 2]"), ("output", "5")]
+    )
+    def test_optional_section_must_be_mapping(self, tmp_path, section, value):
+        text = CONFIG.split("policy:\n")[0] + f"{section}: {value}\n"
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{section}: must be a mapping"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("c_primal: 0.01", "c_primal: .nan", "admm.c_primal"),
+            ("c_primal: 0.01", "c_primal: .inf", "admm.c_primal"),
+            ("c_dual: 0.01", "c_dual: .inf", "admm.c_dual"),
+            ("youngs_modulus: 3000.0", "youngs_modulus: .nan",
+             "material.youngs_modulus"),
+            ("u_end: 0.002", "u_end: -.inf", "schedule.u_end"),
+        ],
+        ids=["c_primal-nan", "c_primal-inf", "c_dual-inf", "youngs_modulus-nan",
+             "u_end-minus_inf"],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, old, new, key):
+        path = tmp_path / "c.yaml"
+        path.write_text(CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
             parse_config(path)
 
 

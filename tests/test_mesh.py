@@ -83,6 +83,16 @@ def test_out_of_range_index_rejected():
         mesh.validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_coordinate_rejected(value):
+    mesh = InputMesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, value]]),
+        triangles=np.array([[0, 1, 2]]),
+    )
+    with pytest.raises(MeshError, match="node 2 has a non-finite coordinate"):
+        mesh.validate()
+
+
 def test_clockwise_triangle_rejected():
     mesh = InputMesh(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
