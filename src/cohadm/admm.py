@@ -78,9 +78,6 @@ class SolverState:
             y=np.zeros(2 * n_points),
         )
 
-    def copy(self) -> "SolverState":
-        return SolverState(self.u.copy(), self.delta.copy(), self.y.copy())
-
 
 @dataclass(frozen=True)
 class AdmmConfig:
@@ -114,17 +111,6 @@ class AdmmConfig:
 
 
 @dataclass
-class Residuals:
-    """Pressure-normalized primal and dual residuals of one iteration."""
-
-    primal: np.ndarray
-    dual: np.ndarray
-    primal_inf: float
-    dual_inf: float
-    converged: bool
-
-
-@dataclass
 class StepResult:
     """Converged solution of one load step."""
 
@@ -145,88 +131,13 @@ def _rigid_basis(coords: np.ndarray) -> np.ndarray:
     return basis
 
 
-def element_dissection_order(
-    coords: np.ndarray,
-    n_triangles: int,
-    neighbor_pairs: np.ndarray,
-    leaf: int = 16,
-) -> np.ndarray:
-    """DOF elimination order by geometric nested dissection of elements.
+def element_dissection_order(*args, **kwargs):
+    """Not on the run path: SuperLU orders the operator itself.
 
-    Not on the run path: SuperLU orders the operator itself. Kept only
-    because perfbench/spans.py wraps this name for its `admm.order_s` span.
-
-    Relies on the triangle-major private-node layout (triangle t owns
-    nodes 3t..3t+2). Recursively splits the element set at the median
-    centroid coordinate; elements whose neighbor crosses the cut are
-    eliminated last. Keeps the factor fill near the 2D optimum, which
-    the generic orderings of the sparse backends miss on this
-    duplicated-node structure.
+    The name stays only because perfbench/spans.py wraps it for its
+    `admm.order_s` span.
     """
-    centroids = coords.reshape(n_triangles, 3, 2).mean(axis=1)
-    if len(neighbor_pairs):
-        ones = np.ones(2 * len(neighbor_pairs), dtype=np.int8)
-        rows = np.concatenate([neighbor_pairs[:, 0], neighbor_pairs[:, 1]])
-        cols = np.concatenate([neighbor_pairs[:, 1], neighbor_pairs[:, 0]])
-        adj = sp.coo_matrix(
-            (ones, (rows, cols)), shape=(n_triangles, n_triangles)
-        ).tocsr()
-        indptr, indices = adj.indptr, adj.indices
-    else:
-        indptr = np.zeros(n_triangles + 1, dtype=np.int64)
-        indices = np.zeros(0, dtype=np.int64)
-
-    in_other = np.zeros(n_triangles, dtype=bool)
-    order = np.empty(n_triangles, dtype=np.int64)
-    cursor = [0]
-
-    def emit(idx):
-        order[cursor[0] : cursor[0] + len(idx)] = idx
-        cursor[0] += len(idx)
-
-    def recurse(idx):
-        if len(idx) <= leaf:
-            emit(idx)
-            return
-        pts = centroids[idx]
-        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-        coord = pts[:, axis]
-        # cut at the widest coordinate gap near the count median: on
-        # structured grids the gap between cell columns is wider than the
-        # gap between the two triangle centroids inside a cell, so the
-        # cut does not split cells and the separator stays one layer thin
-        levels = np.unique(coord)
-        if len(levels) > 1:
-            median_val = np.partition(coord, len(coord) // 2)[len(coord) // 2]
-            pos = int(np.clip(np.searchsorted(levels, median_val), 1, len(levels) - 1))
-            window = max(1, len(levels) // 8)
-            lo_gap = max(1, pos - window)
-            hi_gap = min(len(levels) - 1, pos + window)
-            gaps = levels[lo_gap : hi_gap + 1] - levels[lo_gap - 1 : hi_gap]
-            best = lo_gap + int(np.argmax(gaps))
-            cut = 0.5 * (levels[best - 1] + levels[best])
-            side = coord > cut
-        else:
-            side = np.zeros(len(idx), dtype=bool)
-        if side.all() or not side.any():
-            ranked = idx[np.argsort(coord, kind="stable")]
-            half = len(idx) // 2
-            a, b = ranked[:half], ranked[half:]
-        else:
-            a, b = idx[~side], idx[side]
-        in_other[b] = True
-        sep = np.fromiter(
-            (in_other[indices[indptr[v] : indptr[v + 1]]].any() for v in a),
-            dtype=bool,
-            count=len(a),
-        )
-        in_other[b] = False
-        recurse(a[~sep])
-        recurse(b)
-        emit(a[sep])
-
-    recurse(np.arange(n_triangles, dtype=np.int64))
-    return (6 * order[:, None] + np.arange(6)[None, :]).reshape(-1)
+    raise NotImplementedError("SuperLU orders the operator itself")
 
 
 class _SuperLuBackend:
@@ -310,8 +221,9 @@ def factorize_system(
     mask = np.ones(n_dof, dtype=bool)
     mask[dirichlet_dofs] = False
     free = np.flatnonzero(mask)
-    reduced = M[free][:, free].tocsc()
-    coupling = M[free][:, dirichlet_dofs].tocsr()
+    free_rows = M[free]
+    reduced = free_rows[:, free].tocsc()
+    coupling = free_rows[:, dirichlet_dofs].tocsr()
 
     backend = None
     if len(free):
@@ -529,12 +441,9 @@ class AdmmSolver:
 
     def check_convergence(
         self, au: np.ndarray, delta: np.ndarray, delta_prev: np.ndarray
-    ) -> Residuals:
-        """Pressure residuals: element-wise division by effective areas.
-
-        The returned primal and dual arrays may point into buffers that
-        the next call overwrites; copy them to keep them.
-        """
+    ) -> tuple[float, float]:
+        """Infinity norms of the pressure-normalized primal and dual
+        residuals: element-wise division by effective areas."""
         r = np.subtract(au, delta, out=self._primal)
         r *= self.rho
         r /= self._areas2
@@ -542,18 +451,7 @@ class AdmmSolver:
         jump_step /= self._areas2
         s = self._a_t @ jump_step
         s *= self.rho
-        primal_inf = float(np.abs(r).max(initial=0.0))
-        dual_inf = float(np.abs(s).max(initial=0.0))
-        return Residuals(
-            primal=r,
-            dual=s,
-            primal_inf=primal_inf,
-            dual_inf=dual_inf,
-            converged=(
-                primal_inf < self.config.c_primal
-                and dual_inf < self.config.c_dual
-            ),
-        )
+        return float(np.abs(r).max(initial=0.0)), float(np.abs(s).max(initial=0.0))
 
     def run_step(
         self,
@@ -568,12 +466,11 @@ class AdmmSolver:
         only on success, so each step minimizes a fixed functional.
         Anderson acceleration picks the next (delta, y) while no Gauss
         point is loading; the returned state is always the output of the
-        plain map. Raises ConvergenceError when the iteration cap is
-        exhausted or at the first non-finite residual.
+        plain map. state0 is only read: every iterate is a new array or a
+        view of the Anderson buffer. Raises ConvergenceError when the
+        iteration cap is exhausted or at the first non-finite residual.
         """
-        u = state0.u
-        delta = state0.delta.copy()
-        y = state0.y.copy()
+        delta, y = state0.delta, state0.y
         delta_max = cohesive_state.delta_max
         au_hat = np.empty_like(delta)
         anderson = self._anderson
@@ -592,12 +489,12 @@ class AdmmSolver:
             au_hat += delta
             delta_g = self.delta_update(au_hat, y, local)
             y_g = multiplier_update(y, self.rho, au_hat, delta_g)
-            res = self.check_convergence(au, delta_g, delta)
+            primal, dual = self.check_convergence(au, delta_g, delta)
             if self.iteration_sink is not None:
-                self.iteration_sink(step, it, res.primal_inf, res.dual_inf)
-            if not (np.isfinite(res.primal_inf) and np.isfinite(res.dual_inf)):
-                raise ConvergenceError(step, it, res.primal_inf, res.dual_inf)
-            if res.converged:
+                self.iteration_sink(step, it, primal, dual)
+            if not (np.isfinite(primal) and np.isfinite(dual)):
+                raise ConvergenceError(step, it, primal, dual)
+            if primal < self.config.c_primal and dual < self.config.c_dual:
                 state = SolverState(u=u, delta=delta_g, y=y_g)
                 cohesive_state.commit(delta_g, self.params)
                 reaction = None
@@ -618,6 +515,4 @@ class AdmmSolver:
                 else:
                     accelerated = anderson.step(delta, y, delta_g, y_g)
             delta, y = accelerated or (delta_g, y_g)
-        raise ConvergenceError(
-            step, self.config.max_iters, res.primal_inf, res.dual_inf
-        )
+        raise ConvergenceError(step, self.config.max_iters, primal, dual)

@@ -279,7 +279,13 @@ def run_quasistatic(
             and quality is not None
             and quality > policy.quality_threshold
         )
-        warm = extrapolate(z_prev, z_before) if use_extrap else z_prev.copy()
+        # one prediction per step: the warm start when the gate is open,
+        # and the trial whose accuracy sets the gate for the next step
+        trial = (
+            extrapolate(z_prev, z_before)
+            if policy.enabled and z_before is not None else None
+        )
+        warm = trial if use_extrap else z_prev
         t0 = time.perf_counter()
         try:
             result = solver.run_step(warm, bc_values, cstate, step=k)
@@ -308,8 +314,7 @@ def run_quasistatic(
         )
 
         z_new = result.state
-        if z_before is not None:
-            trial = extrapolate(z_prev, z_before)
+        if trial is not None:
             quality = extrapolation_quality(z_new, z_prev, trial, scale)
         z_before, z_prev = z_prev, z_new
 

@@ -127,6 +127,14 @@ class TestFactorize:
         )
         assert np.allclose(u, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
 
+    def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
+        bm = break_mesh(two_triangle_square)
+        jump = build_jump_operator(bm, 2)
+        stiffness = assemble_stiffness(bm, soft_material)
+        dirichlet = np.append(bm.dofs_of([0], "xy"), bm.n_dof)
+        with pytest.raises(ConfigError, match="out of range"):
+            factorize_system(stiffness.K, jump.A, 1000.0, dirichlet, bm.nodes)
+
     def test_checksum_stable(self, two_triangle_square, soft_material, params):
         _, _, _, solver, _ = make_solver(
             two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
@@ -305,9 +313,9 @@ class TestConvergenceCheck:
             two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
         )
         delta = np.zeros(2 * jump.n_points)
-        res = solver.check_convergence(delta, delta, delta.copy())
-        assert res.primal_inf == 0.0 and res.dual_inf == 0.0
-        assert res.converged
+        primal, dual = solver.check_convergence(delta, delta, delta.copy())
+        assert primal == 0.0 and dual == 0.0
+        assert primal < solver.config.c_primal and dual < solver.config.c_dual
 
     def test_primal_arithmetic(self):
         """One point with area 0.5, rho 10, gap (0.01, 0) gives 0.2."""
@@ -317,8 +325,6 @@ class TestConvergenceCheck:
         fake = SimpleNamespace(
             rho=10.0,
             _areas2=np.repeat(np.array([0.5]), 2),
-            jump=SimpleNamespace(A=A),
-            config=AdmmConfig(c_primal=0.3, c_dual=1e9),
             # the solver's cached transpose and residual buffers
             _a_t=A.T.tocsr(),
             _primal=np.empty(2),
@@ -326,11 +332,9 @@ class TestConvergenceCheck:
         )
         delta = np.zeros(2)
         au = np.array([0.01, 0.0])
-        res = AdmmSolver.check_convergence(fake, au, delta, delta.copy())
-        assert np.allclose(res.primal, [0.2, 0.0])
-        assert res.primal_inf == pytest.approx(0.2)
-        assert res.dual_inf == 0.0
-        assert res.converged   # 0.2 < 0.3 and 0 < c_dual
+        primal, dual = AdmmSolver.check_convergence(fake, au, delta, delta.copy())
+        assert primal == pytest.approx(0.2)
+        assert dual == 0.0
 
     def test_matches_dense_recomputation(self, soft_material, params):
         mesh = rect_strip(4.0, 2.0, 4, 2)
@@ -342,13 +346,12 @@ class TestConvergenceCheck:
         au = rng.normal(size=2 * n)
         delta = rng.normal(size=2 * n)
         prev = rng.normal(size=2 * n)
-        res = solver.check_convergence(au, delta, prev)
+        primal, dual = solver.check_convergence(au, delta, prev)
         arep = np.repeat(jump.areas, 2)
         dense_r = solver.rho * (au - delta) / arep
         dense_s = solver.rho * (jump.A.T.toarray() @ ((delta - prev) / arep))
-        assert np.allclose(res.primal, dense_r, rtol=1e-12)
-        assert np.isclose(res.primal_inf, np.abs(dense_r).max(), rtol=1e-12)
-        assert np.isclose(res.dual_inf, np.abs(dense_s).max(), rtol=1e-10)
+        assert np.isclose(primal, np.abs(dense_r).max(), rtol=1e-12)
+        assert np.isclose(dual, np.abs(dense_s).max(), rtol=1e-10)
 
 
 class TestRunStep:

@@ -1,10 +1,13 @@
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cohadm.cli import main
-from cohadm.fileio import RunWriter, write_mesh
+from cohadm.fileio import RunWriter, parse_config, write_mesh
 from cohadm.meshgen import rect_strip
 
 CONFIG = """\
@@ -53,6 +56,27 @@ def test_info_counts(strip_inputs, tmp_path, capsys):
 def test_info_missing_file(tmp_path, capsys):
     assert main(["info", "--mesh", str(tmp_path / "none.mesh")]) == 1
     assert capsys.readouterr().err.startswith("error: io:")
+
+
+def test_run_missing_mesh_exits_one(strip_inputs, tmp_path, capsys):
+    _, config_path = strip_inputs
+    code = main(["run", "--mesh", str(tmp_path / "none.mesh"),
+                 "--config", str(config_path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: io:")
+
+
+def test_make_inputs_script(tmp_path, capsys, monkeypatch):
+    """The walkthrough's input generator writes files the CLI accepts."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+    assert main(["info", "--mesh", str(tmp_path / "strip.mesh")]) == 0
+    assert "strip.mesh: 200 elements," in capsys.readouterr().out
+    assert main(["info", "--mesh", str(tmp_path / "porous.mesh")]) == 0
+    for name in ("strip.yaml", "porous.yaml"):
+        parse_config(tmp_path / name)
 
 
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):

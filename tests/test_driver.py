@@ -101,6 +101,15 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="nope"):
             run_quasistatic(mesh, soft_material, params, sched, AdmmConfig())
 
+    def test_unknown_fixed_set_rejected(self, soft_material, params):
+        mesh = rect_strip(2.0, 1.0, 2, 1)
+        sched = LoadSchedule(
+            bc_set="right", direction="x", u_start=0, u_end=1e-3, n_steps=1,
+            fixed_sets=(("nope", "y"),),
+        )
+        with pytest.raises(ConfigError, match="unknown boundary set 'nope'"):
+            run_quasistatic(mesh, soft_material, params, sched, AdmmConfig())
+
     def test_overlapping_driven_and_fixed(self, soft_material, params):
         mesh = rect_strip(2.0, 1.0, 2, 1)
         sched = LoadSchedule(
@@ -260,23 +269,52 @@ def test_nonconvergence_carries_partial_record(soft_material, params):
     assert err.value.step == len(record.rows)   # failing step index
 
 
-def test_single_triangle_without_interfaces(params):
-    """No interfaces: one iteration per step, reactions of the bare CST."""
-    mesh = InputMesh(
+def single_triangle():
+    return InputMesh(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
         boundary_sets={
             "left": np.array([0, 2]), "right": np.array([1]), "pin": np.array([0]),
         },
     )
-    material = Material(
-        youngs_modulus=1.0, poisson_ratio=0.0, mode="plane_stress", thickness=1.0
-    )
+
+
+UNIT_CST = Material(
+    youngs_modulus=1.0, poisson_ratio=0.0, mode="plane_stress", thickness=1.0
+)
+
+
+def test_single_triangle_without_interfaces(params):
+    """No interfaces: one iteration per step, reactions of the bare CST."""
     sched = small_strip_schedule(u_end=3.0, n_steps=3)
-    record = run_quasistatic(mesh, material, params, sched, AdmmConfig())
+    record = run_quasistatic(single_triangle(), UNIT_CST, params, sched, AdmmConfig())
     assert [r.iterations for r in record.rows[1:]] == [1, 1, 1]
     forces = [r.reaction_force for r in record.rows[1:]]
     assert np.allclose(forces, [0.5, 1.0, 1.5], rtol=1e-12)
+
+
+def test_every_dof_prescribed(params):
+    """No free DOF: no factor, one iteration per step, and u is the
+    prescribed field."""
+    sched = LoadSchedule(
+        bc_set="right", direction="x", u_start=0.0, u_end=3.0, n_steps=3,
+        fixed_sets=(("left", "xy"), ("right", "y")),
+    )
+    mesh = single_triangle()
+    built = {}
+
+    def keep(broken, jump, solver):
+        built.update(broken=broken, solver=solver)
+
+    record = run_quasistatic(
+        mesh, UNIT_CST, params, sched, AdmmConfig(), setup_sink=keep
+    )
+    assert built["solver"].fact.backend is None
+    assert [r.iterations for r in record.rows[1:]] == [1, 1, 1]
+    broken = built["broken"]
+    expected = np.zeros(broken.n_dof)
+    expected[broken.dofs_of(mesh.boundary_sets["right"], "x")] = 3.0
+    assert np.array_equal(record.final_state.u, expected)
 
 
 @pytest.mark.parametrize("matrix", ["A", "K"])
