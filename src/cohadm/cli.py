@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     import scipy
 
     from . import admm
-    from .driver import ExtrapolationPolicy, run_quasistatic
+    from .driver import run_quasistatic
     from .fileio import RunWriter, parse_config, parse_mesh
 
     try:
@@ -68,11 +68,6 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _fail("io", str(exc), EXIT_CONFIG)
 
-    policy = config.policy
-    if args.no_extrapolation:
-        policy = ExtrapolationPolicy(
-            enabled=False, quality_threshold=policy.quality_threshold
-        )
     out_dir = args.out if args.out is not None else config.output.directory
 
     try:
@@ -95,7 +90,7 @@ def _cmd_run(args) -> int:
             config.cohesive,
             config.schedule,
             config.admm,
-            policy,
+            config.policy,
             setup_sink=writer.bind,
             step_sink=writer.on_step,
             iteration_sink=writer.on_iteration,
@@ -164,10 +159,6 @@ def build_parser() -> _Parser:
     run.add_argument("--mesh", required=True, help="mesh file path")
     run.add_argument("--config", required=True, help="YAML config path")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument(
-        "--no-extrapolation", action="store_true",
-        help="disable extrapolated warm starts",
-    )
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser(

@@ -52,11 +52,6 @@ class CohesiveParams:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    @property
-    def fracture_energy(self) -> float:
-        """Energy per unit area dissipated by complete separation."""
-        return 0.5 * self.sigma_c * self.delta_c
-
     def effective_opening(self, delta: np.ndarray) -> np.ndarray:
         """Scalar effective opening of (..., 2) opening vectors."""
         delta = np.asarray(delta, dtype=float)

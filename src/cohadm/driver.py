@@ -25,7 +25,7 @@ from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LoadSchedule:
     """Monotone displacement ramp applied to one boundary set.
 
@@ -37,7 +37,7 @@ class LoadSchedule:
 
     bc_set: str
     direction: str
-    u_start: float
+    u_start: float = 0.0
     u_end: float
     n_steps: int
     fixed_sets: tuple = ()
@@ -252,6 +252,7 @@ def run_quasistatic(
         if step_sink is not None:
             step_sink(row, state, cstate)
 
+    z_prev = solver.initial_state()      # z_{k-1}
     emit(
         StepRow(
             step=0,
@@ -263,22 +264,17 @@ def run_quasistatic(
             extrapolated=False,
             wall_ms=0.0,
         ),
-        SolverState.zeros(jump.n_dof, jump.n_points),
+        z_prev,
     )
 
     z_before = None                      # z_{k-2}
-    z_prev = solver.initial_state()      # z_{k-1}
     quality = None
     for k in range(1, schedule.n_steps + 1):
         target = schedule.applied(k)
         bc_values = np.zeros(len(dirichlet))
         bc_values[driven_pos] = target
-        use_extrap = (
-            policy.enabled
-            and k >= 3
-            and quality is not None
-            and quality > policy.quality_threshold
-        )
+        # quality is only measured with the policy enabled, from step 2 on
+        use_extrap = quality is not None and quality > policy.quality_threshold
         # one prediction per step: the warm start when the gate is open,
         # and the trial whose accuracy sets the gate for the next step
         trial = (

@@ -13,7 +13,8 @@ import contextlib
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -228,10 +229,8 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _take(section: dict, path: str, key: str, kind, default=...):
+def _take(section: dict, path: str, key: str, kind):
     if key not in section:
-        if default is not ...:
-            return default
         raise ConfigError(f"{path}.{key}: missing required key")
     value = section.pop(key)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -252,11 +251,55 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise ConfigError(f"{path}.{key}: unknown key")
 
 
+# YAML keys that differ from the dataclass field they set
+_YAML_NAMES = {"enabled": "extrapolation", "fixed_sets": "fixed"}
+
+
+def _fixed_sets(entries: list) -> tuple:
+    """schedule.fixed: a list of {set, components} mappings."""
+    fixed = []
+    for i, entry in enumerate(entries):
+        path = f"schedule.fixed[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: must be a mapping")
+        entry = dict(entry)
+        fixed.append(
+            (_take(entry, path, "set", str), _take(entry, path, "components", str))
+        )
+        _reject_unknown(entry, path)
+    return tuple(fixed)
+
+
+def _read_section(data: dict, name: str, cls):
+    """Build `cls` from section `name`, one YAML key per dataclass field.
+
+    A key that is left out takes the field's default; a field without a
+    default is a required key.
+    """
+    section = dict(_section(data, name))
+    kinds = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = _YAML_NAMES.get(f.name, f.name)
+        if key not in section and f.default is not MISSING:
+            continue
+        if f.name == "fixed_sets":
+            values[f.name] = _fixed_sets(_take(section, name, key, list))
+        else:
+            values[f.name] = _take(section, name, key, kinds[f.name])
+    _reject_unknown(section, name)
+    try:
+        return cls(**values)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
-    Syntax errors carry the YAML line number; invariant violations name
-    the offending dotted key.
+    Each section of RunConfig is read from its dataclass's fields, so the
+    defaults are the dataclasses' own. Syntax errors carry the YAML line
+    number; invariant violations name the offending section or dotted key.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -273,87 +316,14 @@ def parse_config(path) -> RunConfig:
         if data.get(name) is None:
             data[name] = {}
 
-    sec = dict(_section(data, "material"))
-    try:
-        material = Material(
-            youngs_modulus=_take(sec, "material", "youngs_modulus", float),
-            poisson_ratio=_take(sec, "material", "poisson_ratio", float),
-            mode=_take(sec, "material", "mode", str, "plane_stress"),
-            thickness=_take(sec, "material", "thickness", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"material: {exc}") from exc
-    _reject_unknown(sec, "material")
-
-    sec = dict(_section(data, "cohesive"))
-    try:
-        cohesive = CohesiveParams(
-            sigma_c=_take(sec, "cohesive", "sigma_c", float),
-            delta_c=_take(sec, "cohesive", "delta_c", float),
-            beta=_take(sec, "cohesive", "beta", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"cohesive: {exc}") from exc
-    _reject_unknown(sec, "cohesive")
-
-    sec = dict(_section(data, "admm"))
-    admm = AdmmConfig(
-        alpha=_take(sec, "admm", "alpha", float, 100.0),
-        c_primal=_take(sec, "admm", "c_primal", float),
-        c_dual=_take(sec, "admm", "c_dual", float),
-        max_iters=_take(sec, "admm", "max_iters", int, 100_000),
+    sections = get_type_hints(RunConfig)
+    config = RunConfig(
+        **{name: _read_section(data, name, cls) for name, cls in sections.items()}
     )
-    _reject_unknown(sec, "admm")
-
-    sec = dict(_section(data, "schedule"))
-    fixed_raw = _take(sec, "schedule", "fixed", list, [])
-    fixed = []
-    for i, entry in enumerate(fixed_raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"schedule.fixed[{i}]: must be a mapping")
-        entry = dict(entry)
-        fixed.append(
-            (
-                _take(entry, f"schedule.fixed[{i}]", "set", str),
-                _take(entry, f"schedule.fixed[{i}]", "components", str),
-            )
-        )
-        _reject_unknown(entry, f"schedule.fixed[{i}]")
-    schedule = LoadSchedule(
-        bc_set=_take(sec, "schedule", "bc_set", str),
-        direction=_take(sec, "schedule", "direction", str),
-        u_start=_take(sec, "schedule", "u_start", float, 0.0),
-        u_end=_take(sec, "schedule", "u_end", float),
-        n_steps=_take(sec, "schedule", "n_steps", int),
-        fixed_sets=tuple(fixed),
-    )
-    _reject_unknown(sec, "schedule")
-
-    sec = dict(_section(data, "policy"))
-    policy = ExtrapolationPolicy(
-        enabled=_take(sec, "policy", "extrapolation", bool, True),
-        quality_threshold=_take(sec, "policy", "quality_threshold", float, 2.0),
-    )
-    _reject_unknown(sec, "policy")
-
-    sec = dict(_section(data, "output"))
-    output = OutputOptions(
-        directory=_take(sec, "output", "directory", str, "out"),
-        per_step_fields=_take(sec, "output", "per_step_fields", bool, False),
-    )
-    _reject_unknown(sec, "output")
-
     for key in data:
-        if key not in ("material", "cohesive", "admm", "schedule", "policy", "output"):
+        if key not in sections:
             raise ConfigError(f"{key}: unknown section")
-    return RunConfig(
-        material=material,
-        cohesive=cohesive,
-        admm=admm,
-        schedule=schedule,
-        policy=policy,
-        output=output,
-    )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +401,14 @@ class RunWriter:
             "w", encoding="utf-8", newline="\n",
         )
         self._ss.write(STRESS_STRAIN_HEADER + "\n")
-        self._it = open(
-            os.path.join(self.out_dir, "iterations.log"),
-            "w", encoding="utf-8", newline="\n",
-        )
+        try:
+            self._it = open(
+                os.path.join(self.out_dir, "iterations.log"),
+                "w", encoding="utf-8", newline="\n",
+            )
+        except OSError:
+            self._ss.close()
+            raise
         self._it.write("# step iter primal_inf dual_inf\n")
         self._jump = None
         self._params = None

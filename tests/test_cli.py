@@ -99,12 +99,16 @@ def test_run_no_extrapolation_matches_default(strip_inputs, tmp_path):
     """Stress columns agree within 2 percent of peak with and without."""
     mesh_path, config_path = strip_inputs
     config_path.write_text(CONFIG.format(u_end=0.015, n_steps=40))
+    off_path = tmp_path / "off.yaml"
+    off_path.write_text(
+        CONFIG.format(u_end=0.015, n_steps=40) + "policy: {extrapolation: false}\n"
+    )
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
                  "--out", str(out_a)]) == 0
-    assert main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
-                 "--out", str(out_b), "--no-extrapolation"]) == 0
+    assert main(["run", "--mesh", str(mesh_path), "--config", str(off_path),
+                 "--out", str(out_b)]) == 0
 
     def stresses(path):
         lines = (path / "stress_strain.csv").read_text().splitlines()[1:]
@@ -179,6 +183,14 @@ def test_run_io_error_exits_one(strip_inputs, tmp_path, capsys, monkeypatch):
 
 def test_unknown_flag_exits_64(capsys):
     assert main(["run", "--bogus"]) == 64
+    assert "error: usage:" in capsys.readouterr().err
+
+
+def test_no_extrapolation_flag_is_gone(strip_inputs, tmp_path, capsys):
+    """policy.extrapolation in the config is the one switch."""
+    mesh_path, config_path = strip_inputs
+    assert main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "x"), "--no-extrapolation"]) == 64
     assert "error: usage:" in capsys.readouterr().err
 
 

@@ -9,7 +9,8 @@ import pytest
 from cohadm import fileio
 from cohadm.admm import AdmmConfig
 from cohadm.cohesive import CohesiveParams, point_status
-from cohadm.driver import LoadSchedule, run_quasistatic
+from cohadm.driver import ExtrapolationPolicy, LoadSchedule, run_quasistatic
+from cohadm.elasticity import Material
 from cohadm.errors import ConfigError, MeshParseError
 from cohadm.fileio import (
     CRACK_FIELD_HEADER,
@@ -209,6 +210,30 @@ class TestConfigParsing:
         assert cfg.policy.enabled is True
         assert cfg.output.directory == "out"
 
+    def test_required_keys_only_take_dataclass_defaults(self, tmp_path):
+        """Every key left out reads as its dataclass field's default."""
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "material: {youngs_modulus: 3000.0, poisson_ratio: 0.2}\n"
+            "cohesive: {sigma_c: 3.0, delta_c: 0.02287}\n"
+            "admm: {}\n"
+            "schedule: {bc_set: right, direction: x, u_end: 0.002, n_steps: 4}\n"
+        )
+        cfg = parse_config(path)
+        assert cfg.material == Material(youngs_modulus=3000.0, poisson_ratio=0.2)
+        assert cfg.cohesive == CohesiveParams(sigma_c=3.0, delta_c=0.02287)
+        assert cfg.admm == AdmmConfig(c_primal=0.01, c_dual=0.01)
+        assert cfg.schedule.u_start == 0.0
+        assert cfg.schedule.fixed_sets == ()
+        assert cfg.policy == ExtrapolationPolicy()
+        assert cfg.output == fileio.OutputOptions()
+
+    def test_invariant_error_names_section(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(CONFIG.replace("alpha: 100.0", "alpha: 0.5"))
+        with pytest.raises(ConfigError, match="^admm: alpha must exceed 1$"):
+            parse_config(path)
+
     def test_missing_key_names_dotted_path(self, tmp_path):
         text = CONFIG.replace("  sigma_c: 3.0\n", "")
         path = tmp_path / "c.yaml"
@@ -282,8 +307,6 @@ def small_run(tmp_path_factory):
     primal, dual) entries the iteration sink received.
     """
     mesh = rect_strip(2.0, 1.0, 2, 2)
-    from cohadm.elasticity import Material
-
     mat = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
                    mode="plane_stress", thickness=0.5)
     params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
@@ -381,6 +404,23 @@ class TestOutputs:
             write_crack_field(path, record.jump, params, 2 * delta, delta_max)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["crack_field.csv"]
+
+    def test_writer_closes_csv_when_log_open_fails(self, tmp_path, monkeypatch):
+        """A failed open of iterations.log leaks no stress_strain.csv handle."""
+        (tmp_path / "iterations.log").mkdir()
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(fileio, "open", recording_open, raising=False)
+        with pytest.raises(OSError):
+            RunWriter(tmp_path)
+        assert len(opened) == 1
+        assert opened[0].name.endswith("stress_strain.csv")
+        assert opened[0].closed
 
     def test_incremental_writer_matches_record(self, small_run, tmp_path):
         record, out, residuals = small_run
