@@ -21,6 +21,12 @@ w = (delta, y) is locally affine, and type-II Anderson acceleration
 38(6), 2019) extrapolates the next w from the last few iterates. A
 loading point or a rising residual clears the history and takes the
 plain iterate, so acceleration never chooses between crack branches.
+The boundary values enter G only through a constant offset, so the
+stored differences of one load step stay exact for the next one while
+the damage history, and with it the linear part of G, is unchanged
+(the recycling of Krylov subspaces across a sequence of linear systems,
+Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci. Comput. 28(5),
+2006, applied to the Anderson differences).
 """
 
 from __future__ import annotations
@@ -256,6 +262,11 @@ class _Anderson:
     against the last one, the Gram column of the newest row. When the
     residual norm rises the differences are dropped and the plain
     iterate is taken.
+
+    The differences outlive a load step only when start sees the same
+    damage history delta_max as at the last start: then the next step's
+    map differs from the last one by a constant offset alone, which
+    cancels in every difference.
     """
 
     def __init__(self, window: int, scale: np.ndarray):
@@ -267,7 +278,23 @@ class _Anderson:
         self.proj = np.empty(window)      # d_f f of the last iterate
         self.f, self.f_prev = np.empty(n), np.empty(n)
         self.w = np.empty(n)
+        self.delta_max = None   # damage history at the last start
         self.clear()
+
+    def start(self, delta_max: np.ndarray) -> None:
+        """Begin a load step frozen at the damage history delta_max.
+
+        Keeps the differences when delta_max equals the one of the last
+        start, and clears them otherwise. The last iterate is always
+        forgotten: its residual belongs to the last step's offset, so no
+        difference may be taken across the step boundary.
+        """
+        if self.delta_max is not None and np.array_equal(delta_max, self.delta_max):
+            self.norm_prev = None
+            self.g_prev = None
+        else:
+            self.delta_max = delta_max.copy()
+            self.clear()
 
     def clear(self) -> None:
         """Forget every iterate, the last one included."""
@@ -346,9 +373,10 @@ class AdmmSolver:
     buffers. What is fixed for one load step, because the damage history
     and the boundary values are frozen while it iterates, run_step builds
     as locals and passes to the updates: coupling @ bc_values and the
-    local-solve context. Exclusive access is assumed while run_step
-    executes; the underlying matrices are immutable and may be shared
-    across threads.
+    local-solve context. The Anderson differences are the one thing
+    carried from step to step, and only while the damage history is
+    unchanged. Exclusive access is assumed while run_step executes; the
+    underlying matrices are immutable and may be shared across threads.
     """
 
     def __init__(
@@ -465,17 +493,19 @@ class AdmmSolver:
         The damage history is frozen during the iterations and committed
         only on success, so each step minimizes a fixed functional.
         Anderson acceleration picks the next (delta, y) while no Gauss
-        point is loading; the returned state is always the output of the
-        plain map. state0 is only read: every iterate is a new array or a
-        view of the Anderson buffer. Raises ConvergenceError when the
-        iteration cap is exhausted or at the first non-finite residual.
+        point is loading, starting from the last step's differences when
+        delta_max has not changed since; the returned state is always
+        the output of the plain map. state0 is only read: every iterate
+        is a new array or a view of the Anderson buffer. Raises
+        ConvergenceError when the iteration cap is exhausted or at the
+        first non-finite residual.
         """
         delta, y = state0.delta, state0.y
         delta_max = cohesive_state.delta_max
         au_hat = np.empty_like(delta)
         anderson = self._anderson
         if anderson is not None:
-            anderson.clear()
+            anderson.start(delta_max)
         # frozen for the whole step: commit updates the history only once
         # the step has converged
         lifted = self.fact.coupling @ bc_values

@@ -73,9 +73,6 @@ class CohesiveState:
         eff = params.effective_opening(np.asarray(delta).reshape(-1, 2))
         np.maximum(self.delta_max, eff, out=self.delta_max)
 
-    def copy(self) -> "CohesiveState":
-        return CohesiveState(delta_max=self.delta_max.copy())
-
 
 def _secant_stiffness(delta_max, params: CohesiveParams):
     """Unloading secant slope t(delta_max)/delta_max, zero once failed.

@@ -274,12 +274,17 @@ def _read_section(data: dict, name: str, cls):
     """Build `cls` from section `name`, one YAML key per dataclass field.
 
     A key that is left out takes the field's default; a field without a
-    default is a required key.
+    default is a required key. A section whose fields all have defaults
+    may itself be left out or null.
     """
-    section = dict(_section(data, name))
+    cls_fields = fields(cls)
+    if data.get(name) is None and all(f.default is not MISSING for f in cls_fields):
+        section = {}
+    else:
+        section = dict(_section(data, name))
     kinds = get_type_hints(cls)
     values = {}
-    for f in fields(cls):
+    for f in cls_fields:
         key = _YAML_NAMES.get(f.name, f.name)
         if key not in section and f.default is not MISSING:
             continue
@@ -310,12 +315,6 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    data = dict(data)
-    # the optional sections may be absent or empty
-    for name in ("policy", "output"):
-        if data.get(name) is None:
-            data[name] = {}
-
     sections = get_type_hints(RunConfig)
     config = RunConfig(
         **{name: _read_section(data, name, cls) for name, cls in sections.items()}

@@ -234,7 +234,7 @@ def test_criterion_8_near_linear_iteration_cost():
         for _ in range(5):
             for i, nx in enumerate((32, 63, 122)):
                 mesh = rect_strip(10.0, 10.0, nx, nx)
-                schedule = strip_schedule(u_end=0.005, n_steps=5)
+                schedule = strip_schedule(u_end=0.005, n_steps=15)
                 config = AdmmConfig(alpha=100.0, c_primal=5e-4, c_dual=5e-4)
                 gc.collect()
                 record = run_quasistatic(

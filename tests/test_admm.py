@@ -505,6 +505,60 @@ class TestRunStep:
         assert np.abs(fast.state.delta - plain.state.delta).max() <= tol
         assert np.abs(fast.state.y - plain.state.y).max() <= 2 * c * jump.areas.max()
 
+    def test_anderson_history_carries_to_the_next_step(self, soft_material, params):
+        """Two steps before activation: the second starts from the first's
+        differences and reaches the fixed point of an empty history."""
+        c = 1e-3
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=c
+        )
+        cstate = CohesiveState.pristine(jump.n_points)
+        first = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            cstate, step=1,
+        )
+        assert not cstate.delta_max.any()
+        bc = self.bc_values(dirichlet, right, 2e-3)
+        carried = solver.run_step(first.state, bc, cstate, step=2)
+        unused_solver = self.stretch_setup(soft_material, params, c=c)[4]
+        fresh = unused_solver.run_step(
+            first.state, bc, CohesiveState.pristine(jump.n_points), step=2
+        )
+        assert carried.iterations <= 3 < fresh.iterations
+        tol = 10 * c * jump.areas.mean() / solver.rho
+        assert np.abs(carried.state.u - fresh.state.u).max() <= tol
+        assert np.abs(carried.state.delta - fresh.state.delta).max() <= tol
+        assert np.abs(carried.state.y - fresh.state.y).max() <= (
+            2 * c * jump.areas.max()
+        )
+
+    def test_anderson_history_cleared_by_new_damage(self, soft_material, params):
+        """Raised damage changes the map's linear part: the next step
+        starts from an empty history."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=1e-3
+        )
+        plain_update = solver.delta_update
+        counts = []
+
+        def recorded(au, y, local):
+            counts.append(solver._anderson.count)
+            return plain_update(au, y, local)
+
+        solver.delta_update = recorded
+        cstate = CohesiveState.pristine(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 1e-3)
+        state = solver.run_step(solver.initial_state(), bc, cstate, step=1).state
+        counts.clear()
+        state = solver.run_step(state, bc, cstate, step=2).state
+        assert counts[0] > 0          # unchanged history: the rows carry
+        opened = np.zeros(2 * jump.n_points)
+        opened[0] = 0.1 * params.delta_c
+        cstate.commit(opened, params)
+        counts.clear()
+        solver.run_step(state, bc, cstate, step=3)
+        assert counts[0] == 0
+
     def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
         """A loading point at every iterate leaves the plain map bit for bit."""
         fast, seen, _, _ = self.pull_step(soft_material, params, 5e-3, 1e-3)
@@ -636,17 +690,61 @@ def test_anderson_gram_matches_ring_buffer():
     assert np.abs(w - fixed).max() < 0.1 * np.abs(plain - fixed).max()
 
 
-def reference_run_step(solver, state0, bc_values, cohesive_state):
+def test_anderson_carried_rows_solve_a_shifted_map():
+    """Differences of w -> M w + b are differences of w -> M w + b2 too,
+    so carried rows reach the second fixed point sooner than a cleared
+    history does; a different damage history clears them."""
+    rng = np.random.default_rng(10)
+    n, window = 12, 5
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    M = Q @ np.diag(np.r_[0.95, 0.9, 0.8, np.zeros(n - 3)]) @ Q.T
+    b1, b2 = rng.normal(size=(2, n))
+    scale = rng.uniform(0.5, 2.0, size=n)
+    delta_max = np.zeros(3)
+
+    def solve(accel, w, b):
+        accel.start(delta_max)
+        fixed = np.linalg.solve(np.eye(n) - M, b)
+        for it in range(1, 100):
+            g = M @ w + b
+            if np.abs(g - fixed).max() < 1e-8:
+                return it, g
+            nxt = accel.step(w[: n // 2], w[n // 2 :], g[: n // 2], g[n // 2 :])
+            w = g if nxt is None else np.concatenate(nxt)
+        raise AssertionError("no convergence")
+
+    carried = admm._Anderson(window, scale)
+    _, w1 = solve(carried, np.zeros(n), b1)
+    with_rows, _ = solve(carried, w1, b2)
+    cleared = admm._Anderson(window, scale)
+    solve(cleared, np.zeros(n), b1)
+    cleared.clear()
+    without_rows, _ = solve(cleared, w1, b2)
+    assert with_rows < without_rows
+    assert carried.count > 0
+    carried.start(delta_max + 1.0)
+    assert carried.count == 0
+
+
+def reference_run_step(solver, state0, bc_values, cohesive_state, history):
     """One load step as the iteration computed it before the per-step
     context: A.T built for every product, a checked local solve per
     iteration, coupling @ bc_values per solve and residuals from fresh
-    temporaries. Commits nothing; returns (state, iterations)."""
+    temporaries. `history` is one dict per run: it keeps the Anderson
+    differences of the last step while delta_max is unchanged, and a new
+    _Anderson otherwise. Commits nothing; returns (state, iterations)."""
     jump, rho, params, fact = solver.jump, solver.rho, solver.params, solver.fact
     areas2 = np.repeat(jump.areas, 2)
     delta_max = cohesive_state.delta_max
-    anderson = admm._Anderson(
-        admm.ANDERSON_WINDOW, np.concatenate([rho / areas2, 1.0 / areas2])
-    )
+    anderson = history.get("anderson")
+    if anderson is None or not np.array_equal(history["delta_max"], delta_max):
+        anderson = admm._Anderson(
+            admm.ANDERSON_WINDOW, np.concatenate([rho / areas2, 1.0 / areas2])
+        )
+        history.update(anderson=anderson, delta_max=delta_max.copy())
+    else:
+        # no difference across the step boundary
+        anderson.norm_prev = anderson.g_prev = None
     u, delta, y = state0.u, state0.delta.copy(), state0.y.copy()
     for it in range(1, solver.config.max_iters + 1):
         rhs = -(jump.A.T @ (y - rho * delta))
@@ -685,10 +783,12 @@ def check_every_step(monkeypatch):
     """
     run_step = AdmmSolver.run_step
     counts = []
+    history = {}
 
     def checked(self, state0, bc_values, cohesive_state, step=0):
         want, want_iters = reference_run_step(
-            self, state0, bc_values, cohesive_state.copy()
+            self, state0, bc_values,
+            CohesiveState(delta_max=cohesive_state.delta_max.copy()), history,
         )
         got = run_step(self, state0, bc_values, cohesive_state, step)
         assert got.iterations == want_iters, f"step {step}"

@@ -228,6 +228,26 @@ class TestConfigParsing:
         assert cfg.policy == ExtrapolationPolicy()
         assert cfg.output == fileio.OutputOptions()
 
+    @pytest.mark.parametrize("admm", ["", "admm:\n"], ids=["absent", "null"])
+    def test_section_of_defaults_is_optional(self, tmp_path, admm):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "material: {youngs_modulus: 3000.0, poisson_ratio: 0.2}\n"
+            "cohesive: {sigma_c: 3.0, delta_c: 0.02287}\n"
+            + admm
+            + "schedule: {bc_set: right, direction: x, u_end: 0.002, n_steps: 4}\n"
+            "policy:\n"
+        )
+        cfg = parse_config(path)
+        assert cfg.admm == AdmmConfig()
+        assert cfg.policy == ExtrapolationPolicy()
+
+    def test_section_with_required_keys_is_not_optional(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(CONFIG.split("schedule:\n")[0])
+        with pytest.raises(ConfigError, match="^schedule: missing section$"):
+            parse_config(path)
+
     def test_invariant_error_names_section(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(CONFIG.replace("alpha: 100.0", "alpha: 0.5"))
