@@ -41,7 +41,6 @@ import scipy.sparse.linalg as spla
 
 from .cohesive import (
     CohesiveParams,
-    CohesiveState,
     LocalSolveContext,
     loading_points,
     solve_local_batch,
@@ -122,7 +121,6 @@ class StepResult:
 
     state: SolverState
     iterations: int
-    reaction: np.ndarray | None
 
 
 def _rigid_basis(coords: np.ndarray) -> np.ndarray:
@@ -373,10 +371,13 @@ class AdmmSolver:
     buffers. What is fixed for one load step, because the damage history
     and the boundary values are frozen while it iterates, run_step builds
     as locals and passes to the updates: coupling @ bc_values and the
-    local-solve context. The Anderson differences are the one thing
-    carried from step to step, and only while the damage history is
-    unchanged. Exclusive access is assumed while run_step executes; the
-    underlying matrices are immutable and may be shared across threads.
+    local-solve context. A step only solves: it reads the damage history
+    it is given and returns the converged state, and the caller commits
+    that history and takes the reaction (`reaction`) on the nodes it
+    chooses. The Anderson differences are the one thing carried from
+    step to step, and only while the damage history is unchanged.
+    Exclusive access is assumed while run_step executes; the underlying
+    matrices are immutable and may be shared across threads.
     """
 
     def __init__(
@@ -387,7 +388,6 @@ class AdmmSolver:
         config: AdmmConfig,
         dirichlet_dofs: np.ndarray,
         coords: np.ndarray,
-        reaction_nodes: np.ndarray | None = None,
         iteration_sink=None,
     ):
         self.stiffness = stiffness
@@ -399,7 +399,6 @@ class AdmmSolver:
         self.fact = factorize_system(
             stiffness.K, jump.A, self.rho, dirichlet_dofs, coords
         )
-        self.reaction_nodes = reaction_nodes
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
         # CSR rows of A^T sum in the order of a CSC product with A.T
@@ -481,33 +480,35 @@ class AdmmSolver:
         s *= self.rho
         return float(np.abs(r).max(initial=0.0)), float(np.abs(s).max(initial=0.0))
 
+    def reaction(self, state: SolverState, nodes: np.ndarray) -> np.ndarray:
+        """Summed internal force (Fx, Fy) on `nodes` in `state`."""
+        return reaction_force(self.stiffness, self.jump, self.rho, state, nodes)
+
     def run_step(
         self,
         state0: SolverState,
         bc_values: np.ndarray,
-        cohesive_state: CohesiveState,
+        delta_max: np.ndarray,
         step: int = 0,
     ) -> StepResult:
         """Iterate u -> delta -> y until both residuals pass.
 
-        The damage history is frozen during the iterations and committed
-        only on success, so each step minimizes a fixed functional.
-        Anderson acceleration picks the next (delta, y) while no Gauss
-        point is loading, starting from the last step's differences when
-        delta_max has not changed since; the returned state is always
-        the output of the plain map. state0 is only read: every iterate
-        is a new array or a view of the Anderson buffer. Raises
-        ConvergenceError when the iteration cap is exhausted or at the
-        first non-finite residual.
+        The damage history delta_max is frozen, so each step minimizes a
+        fixed functional; committing the converged openings to it is the
+        caller's concern. Anderson acceleration picks the next (delta, y)
+        while no Gauss point is loading, starting from the last step's
+        differences when delta_max has not changed since; the returned
+        state is always the output of the plain map. No argument is
+        written to: every iterate is a new array or a view of the
+        Anderson buffer, so a step changes nothing outside the solver
+        except its Anderson rows. Raises ConvergenceError when the
+        iteration cap is exhausted or at the first non-finite residual.
         """
         delta, y = state0.delta, state0.y
-        delta_max = cohesive_state.delta_max
         au_hat = np.empty_like(delta)
         anderson = self._anderson
         if anderson is not None:
             anderson.start(delta_max)
-        # frozen for the whole step: commit updates the history only once
-        # the step has converged
         lifted = self.fact.coupling @ bc_values
         local = self.local_context(delta_max)
         for it in range(1, self.config.max_iters + 1):
@@ -526,14 +527,7 @@ class AdmmSolver:
                 raise ConvergenceError(step, it, primal, dual)
             if primal < self.config.c_primal and dual < self.config.c_dual:
                 state = SolverState(u=u, delta=delta_g, y=y_g)
-                cohesive_state.commit(delta_g, self.params)
-                reaction = None
-                if self.reaction_nodes is not None:
-                    reaction = reaction_force(
-                        self.stiffness, self.jump, self.rho, state,
-                        self.reaction_nodes,
-                    )
-                return StepResult(state=state, iterations=it, reaction=reaction)
+                return StepResult(state=state, iterations=it)
             accelerated = None
             if anderson is not None:
                 # an all-zero opening field (before activation) has no

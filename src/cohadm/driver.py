@@ -195,6 +195,11 @@ def run_quasistatic(
 ) -> RunRecord:
     """Run the full load schedule and collect the stress-strain record.
 
+    Each step is a solve that changes nothing outside the solver but its
+    Anderson rows; this loop then commits the converged openings to the
+    damage history and takes the reaction on the loaded nodes (the
+    solver holds no reaction nodes).
+
     setup_sink(mesh, jump, solver) fires once after assembly;
     step_sink(row, state, cohesive_state) after every converged step
     (crash-safe flushing is the caller's concern); iteration_sink(step,
@@ -217,7 +222,6 @@ def run_quasistatic(
         admm_config,
         dirichlet,
         mesh.nodes,
-        reaction_nodes=reaction_nodes,
         iteration_sink=iteration_sink,
     )
     matrix_digest = solver.checksum()
@@ -284,13 +288,14 @@ def run_quasistatic(
         warm = trial if use_extrap else z_prev
         t0 = time.perf_counter()
         try:
-            result = solver.run_step(warm, bc_values, cstate, step=k)
+            result = solver.run_step(warm, bc_values, cstate.delta_max, step=k)
         except ConvergenceError as exc:
             exc.partial_record = record
             raise
+        cstate.commit(result.state.delta, cohesive)
+        force = float(solver.reaction(result.state, reaction_nodes)[axis])
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        force = float(result.reaction[axis])
         emit(
             StepRow(
                 step=k,

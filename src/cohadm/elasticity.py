@@ -58,7 +58,6 @@ class StiffnessMatrix:
     """Assembled global stiffness over broken-mesh DOFs (node-major)."""
 
     K: sp.csr_matrix
-    material: Material
 
     @property
     def n_dof(self) -> int:
@@ -113,7 +112,7 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> StiffnessMatrix:
     K = sp.coo_matrix(
         (ke.reshape(-1), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof)
     ).tocsr()
-    return StiffnessMatrix(K=K, material=mat)
+    return StiffnessMatrix(K=K)
 
 
 def elastic_energy(stiffness: StiffnessMatrix, u: np.ndarray) -> float:

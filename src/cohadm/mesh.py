@@ -257,14 +257,11 @@ class JumpOperator:
         x thickness).
     points : (n_points, 2) float array
         Gauss point positions in the reference configuration.
-    edge_index : (n_points,) int array
-        Interface edge owning each Gauss point.
     """
 
     A: sp.csr_matrix
     areas: np.ndarray
     points: np.ndarray
-    edge_index: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -351,5 +348,4 @@ def build_jump_operator(
         A=A,
         areas=areas,
         points=points.reshape(-1, 2),
-        edge_index=np.repeat(np.arange(n_edges, dtype=np.int64), gauss_per_edge),
     )

@@ -28,22 +28,15 @@ from oracles import conforming_solve
 SC, DC = 3.0, 0.02287
 
 
-def make_solver(mesh, material, params, config, fixed_spec, reaction_set=None,
-                sink=None):
+def make_solver(mesh, material, params, config, fixed_spec, sink=None):
     """Assemble everything for a mesh and Dirichlet specification."""
     bm = break_mesh(mesh)
     jump = build_jump_operator(bm, 2, material.thickness)
     stiffness = assemble_stiffness(bm, material)
     dofs = [bm.dofs_of(mesh.boundary_sets[name], comps) for name, comps in fixed_spec]
     dirichlet = np.unique(np.concatenate(dofs))
-    reaction_nodes = (
-        bm.private_nodes_of(mesh.boundary_sets[reaction_set])
-        if reaction_set
-        else None
-    )
     solver = AdmmSolver(
-        stiffness, jump, params, config, dirichlet, bm.nodes,
-        reaction_nodes=reaction_nodes, iteration_sink=sink,
+        stiffness, jump, params, config, dirichlet, bm.nodes, iteration_sink=sink,
     )
     return bm, jump, stiffness, solver, dirichlet
 
@@ -266,7 +259,7 @@ class TestDeltaUpdate:
 
 
     def test_after_a_step_sees_the_committed_history(self, soft_material, params):
-        """A context built after a step reads the history the step committed."""
+        """A context built after a step reads the history committed from it."""
         mesh = rect_strip(4.0, 2.0, 4, 2)
         bm, jump, _, solver, dirichlet = make_solver(
             mesh, soft_material, params, AdmmConfig(),
@@ -275,7 +268,8 @@ class TestDeltaUpdate:
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 5e-3
         cstate = CohesiveState.pristine(jump.n_points)
-        result = solver.run_step(solver.initial_state(), bc, cstate)
+        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max)
+        cstate.commit(result.state.delta, params)
         assert cstate.delta_max.max() > 0.0
         au = jump.A @ result.state.u
         got = solver.delta_update(
@@ -361,7 +355,6 @@ class TestRunStep:
         bm, jump, stiffness, solver, dirichlet = make_solver(
             mesh, soft_material, params, cfg,
             [("left", "x"), ("pin", "y"), ("right", "x")],
-            reaction_set="right",
         )
         right = np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))
         return mesh, bm, jump, stiffness, solver, dirichlet, right
@@ -377,8 +370,8 @@ class TestRunStep:
         )
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-4)
-        first = solver.run_step(solver.initial_state(), bc, cstate, step=1)
-        again = solver.run_step(first.state, bc, cstate, step=2)
+        first = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        again = solver.run_step(first.state, bc, cstate.delta_max, step=2)
         assert again.iterations <= 2
 
     def test_elastic_step_matches_conforming_fea(self, soft_material, params):
@@ -388,7 +381,7 @@ class TestRunStep:
         cstate = CohesiveState.pristine(jump.n_points)
         pull = 1e-4   # far below activation
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
 
         bc_map = {}
         for n in mesh.boundary_sets["left"]:
@@ -412,7 +405,7 @@ class TestRunStep:
         )
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # still below activation
-        result = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
         state = result.state
         p = (state.y + solver.rho * (jump.A @ state.u - state.delta)).reshape(-1, 2)
         p_eff = np.hypot(np.maximum(p[:, 0], 0.0), p[:, 1] / params.beta)
@@ -431,7 +424,7 @@ class TestRunStep:
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 0.05
         cstate = CohesiveState.pristine(jump.n_points)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate, step=7)
+            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=7)
         assert err.value.step == 7
         assert err.value.iterations == 3
         assert err.value.primal > 0 or err.value.dual > 0
@@ -447,7 +440,7 @@ class TestRunStep:
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate, step=4)
+            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=4)
         assert err.value.step == 4
         assert err.value.iterations == 1
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
@@ -459,10 +452,11 @@ class TestRunStep:
         )
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
-        first = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        first = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
         assert first.iterations > 1
+        cstate.commit(first.state.delta, params)
         assert cstate.delta_max.max() > 0.0
-        again = solver.run_step(first.state, bc, cstate, step=2)
+        again = solver.run_step(first.state, bc, cstate.delta_max, step=2)
         assert again.iterations == 1
         cfg = solver.config
         tol = 10 * cfg.c_primal * jump.areas.mean() / solver.rho
@@ -471,6 +465,27 @@ class TestRunStep:
         assert np.abs(again.state.y - first.state.y).max() <= (
             2 * cfg.c_primal * jump.areas.max()
         )
+
+    def test_leaves_its_inputs_alone(self, soft_material, params):
+        """A step past activation writes neither its warm start nor the
+        damage history; committing is the caller's concern."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        first = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            np.zeros(jump.n_points), step=1,
+        )
+        state0 = first.state
+        delta_max = np.zeros(jump.n_points)
+        before = [a.copy() for a in (delta_max, state0.u, state0.delta, state0.y)]
+        bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
+        result = solver.run_step(state0, bc, delta_max, step=2)
+        assert result.iterations > 1 and result.state.delta.any()
+        after = (delta_max, state0.u, state0.delta, state0.y)
+        for old, new in zip(before, after):
+            assert new.tobytes() == old.tobytes()
+        assert not delta_max.any()
 
     def pull_step(self, soft_material, params, pull, c):
         """One step from the pristine state, recording every iterate."""
@@ -488,7 +503,7 @@ class TestRunStep:
         solver.delta_update = recorded
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
         return result, iterates, jump, solver
 
     def test_anderson_saves_iterations_before_activation(
@@ -515,14 +530,15 @@ class TestRunStep:
         cstate = CohesiveState.pristine(jump.n_points)
         first = solver.run_step(
             solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
-            cstate, step=1,
+            cstate.delta_max, step=1,
         )
+        cstate.commit(first.state.delta, params)
         assert not cstate.delta_max.any()
         bc = self.bc_values(dirichlet, right, 2e-3)
-        carried = solver.run_step(first.state, bc, cstate, step=2)
+        carried = solver.run_step(first.state, bc, cstate.delta_max, step=2)
         unused_solver = self.stretch_setup(soft_material, params, c=c)[4]
         fresh = unused_solver.run_step(
-            first.state, bc, CohesiveState.pristine(jump.n_points), step=2
+            first.state, bc, CohesiveState.pristine(jump.n_points).delta_max, step=2
         )
         assert carried.iterations <= 3 < fresh.iterations
         tol = 10 * c * jump.areas.mean() / solver.rho
@@ -548,15 +564,17 @@ class TestRunStep:
         solver.delta_update = recorded
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        state = solver.run_step(solver.initial_state(), bc, cstate, step=1).state
+        state = solver.run_step(
+            solver.initial_state(), bc, cstate.delta_max, step=1
+        ).state
         counts.clear()
-        state = solver.run_step(state, bc, cstate, step=2).state
+        state = solver.run_step(state, bc, cstate.delta_max, step=2).state
         assert counts[0] > 0          # unchanged history: the rows carry
         opened = np.zeros(2 * jump.n_points)
         opened[0] = 0.1 * params.delta_c
         cstate.commit(opened, params)
         counts.clear()
-        solver.run_step(state, bc, cstate, step=3)
+        solver.run_step(state, bc, cstate.delta_max, step=3)
         assert counts[0] == 0
 
     def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
@@ -592,7 +610,7 @@ class TestRunStep:
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # before activation
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate, step=4)
+            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=4)
         assert calls[-1] > 0          # the poisoned iterate was accelerated
         assert err.value.iterations == 4
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
@@ -603,12 +621,14 @@ class TestRunStep:
         )
         cstate = CohesiveState.pristine(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        result = solver.run_step(solver.initial_state(), bc, cstate, step=1)
+        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
         left = reaction_force(
             stiffness, jump, solver.rho, result.state,
             bm.private_nodes_of(mesh.boundary_sets["left"]),
         )
-        rightf = result.reaction
+        rightf = solver.reaction(
+            result.state, bm.private_nodes_of(mesh.boundary_sets["right"])
+        )
         assert np.allclose(left + rightf, 0.0, atol=1e-6 * np.abs(rightf).max())
 
     def test_reaction_rejects_empty_set(self, soft_material, params, two_triangle_square):
@@ -648,7 +668,6 @@ def test_gauss_point_permutation_invariance(soft_material, params):
         A=jump.A[rows],
         areas=jump.areas[perm],
         points=jump.points[perm],
-        edge_index=jump.edge_index[perm],
     )
 
     pull = 8e-3   # past activation so openings are nontrivial
@@ -658,7 +677,7 @@ def test_gauss_point_permutation_invariance(soft_material, params):
         cstate = CohesiveState.pristine(jp.n_points)
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = pull
-        results.append(solver.run_step(solver.initial_state(), bc, cstate))
+        results.append(solver.run_step(solver.initial_state(), bc, cstate.delta_max))
 
     base, permuted = results
     assert np.abs(base.state.u - permuted.state.u).max() <= 1e-10
@@ -785,12 +804,12 @@ def check_every_step(monkeypatch):
     counts = []
     history = {}
 
-    def checked(self, state0, bc_values, cohesive_state, step=0):
+    def checked(self, state0, bc_values, delta_max, step=0):
         want, want_iters = reference_run_step(
-            self, state0, bc_values,
-            CohesiveState(delta_max=cohesive_state.delta_max.copy()), history,
+            self, state0, bc_values, CohesiveState(delta_max=delta_max.copy()),
+            history,
         )
-        got = run_step(self, state0, bc_values, cohesive_state, step)
+        got = run_step(self, state0, bc_values, delta_max, step)
         assert got.iterations == want_iters, f"step {step}"
         for name in ("u", "delta", "y"):
             # bytes, so that a flipped sign of zero counts as a change
