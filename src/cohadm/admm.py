@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .cohesive import (
     solve_local_batch,
     validate_penalty,
 )
-from .elasticity import StiffnessMatrix, reaction_force
+from .elasticity import reaction_force
 from .errors import ConfigError, ConvergenceError, SingularSystemError
 from .mesh import JumpOperator
 
@@ -99,10 +100,13 @@ class AdmmConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.alpha <= 1:
+        # each bound is written so that NaN fails it
+        if not self.alpha > 1:
             raise ConfigError("alpha must exceed 1")
-        if self.c_primal <= 0 or self.c_dual <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not math.isfinite(self.alpha):
+            raise ConfigError("alpha must be finite")
+        if not (0 < self.c_primal < math.inf and 0 < self.c_dual < math.inf):
+            raise ConfigError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
 
@@ -366,15 +370,15 @@ class _Anderson:
 class AdmmSolver:
     """Holds the factorized system and runs load steps to convergence.
 
-    The solver holds only what is fixed for its life: the penalty,
-    checked once here, the factor, A^T stored as CSR, and the residual
-    buffers. What is fixed for one load step, because the damage history
-    and the boundary values are frozen while it iterates, run_step builds
-    as locals and passes to the updates: coupling @ bc_values and the
-    local-solve context. A step only solves: it reads the damage history
-    it is given and returns the converged state, and the caller commits
-    that history and takes the reaction (`reaction`) on the nodes it
-    chooses. The Anderson differences are the one thing carried from
+    The solver holds only what is fixed for its life: the CSR stiffness
+    K it was given, the penalty, checked once here, the factor of
+    K + rho A^T A, A^T stored as CSR, and the residual buffers. What is
+    fixed for one load step, because the damage history and the boundary
+    values are frozen while it iterates, run_step builds as locals and
+    passes to the updates: coupling @ bc_values and the local-solve
+    context. A step only solves: it reads the damage history it is given
+    and returns the converged state, and the caller commits that history
+    and takes the reaction (`reaction`) on the nodes it chooses. The Anderson differences are the one thing carried from
     step to step, and only while the damage history is unchanged.
     Exclusive access is assumed while run_step executes; the underlying
     matrices are immutable and may be shared across threads.
@@ -382,7 +386,7 @@ class AdmmSolver:
 
     def __init__(
         self,
-        stiffness: StiffnessMatrix,
+        K: sp.csr_matrix,
         jump: JumpOperator,
         params: CohesiveParams,
         config: AdmmConfig,
@@ -390,15 +394,13 @@ class AdmmSolver:
         coords: np.ndarray,
         iteration_sink=None,
     ):
-        self.stiffness = stiffness
+        self.K = K
         self.jump = jump
         self.params = params
         self.config = config
         self.rho = config.penalty(jump.areas, params)
         validate_penalty(self.rho, jump.areas, params)
-        self.fact = factorize_system(
-            stiffness.K, jump.A, self.rho, dirichlet_dofs, coords
-        )
+        self.fact = factorize_system(K, jump.A, self.rho, dirichlet_dofs, coords)
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
         # CSR rows of A^T sum in the order of a CSC product with A.T
@@ -425,7 +427,7 @@ class AdmmSolver:
         longer matches the operator the iteration applies.
         """
         h = hashlib.sha256()
-        for m in (self.stiffness.K, self.jump.A):
+        for m in (self.K, self.jump.A):
             h.update(m.indptr.tobytes())
             h.update(m.indices.tobytes())
             h.update(m.data.tobytes())
@@ -482,7 +484,7 @@ class AdmmSolver:
 
     def reaction(self, state: SolverState, nodes: np.ndarray) -> np.ndarray:
         """Summed internal force (Fx, Fy) on `nodes` in `state`."""
-        return reaction_force(self.stiffness, self.jump, self.rho, state, nodes)
+        return reaction_force(self.K, self.jump, self.rho, state, nodes)
 
     def run_step(
         self,

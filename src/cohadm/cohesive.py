@@ -23,6 +23,7 @@ reduces to a scalar root find on the effective opening.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,10 @@ class CohesiveParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_c <= 0:
-            raise ValueError("sigma_c must be positive")
-        if self.delta_c <= 0:
-            raise ValueError("delta_c must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        # each bound is written so that NaN fails it
+        for name in ("sigma_c", "delta_c", "beta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def effective_opening(self, delta: np.ndarray) -> np.ndarray:
         """Scalar effective opening of (..., 2) opening vectors."""

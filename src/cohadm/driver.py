@@ -11,6 +11,7 @@ strain row per step and supports crash-safe incremental sinks.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,8 +67,9 @@ class ExtrapolationPolicy:
     quality_threshold: float = 2.0
 
     def __post_init__(self):
-        if self.quality_threshold <= 1:
-            raise ConfigError("quality_threshold must exceed 1")
+        # each bound is written so that NaN fails it
+        if not 1 < self.quality_threshold < math.inf:
+            raise ConfigError("quality_threshold must exceed 1 and be finite")
 
 
 @dataclass
@@ -89,7 +91,6 @@ class RunRecord:
     width: float
     height: float
     thickness: float
-    direction: str
     rows: list[StepRow] = field(default_factory=list)
     dissipation: list[float] = field(default_factory=list)
     final_state: SolverState | None = None
@@ -211,12 +212,12 @@ def run_quasistatic(
     mesh = break_mesh(input_mesh)
     dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
     jump = build_jump_operator(mesh, thickness=material.thickness)
-    stiffness = assemble_stiffness(mesh, material)
+    K = assemble_stiffness(mesh, material)
     reaction_nodes = mesh.private_nodes_of(
         input_mesh.boundary_sets[schedule.bc_set]
     )
     solver = AdmmSolver(
-        stiffness,
+        K,
         jump,
         cohesive,
         admm_config,
@@ -239,7 +240,6 @@ def run_quasistatic(
         width=width,
         height=height,
         thickness=material.thickness,
-        direction=schedule.direction,
         jump=jump,
     )
 

@@ -7,6 +7,7 @@ only through the interface terms added by the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,15 @@ class Material:
     thickness: float = 1.0
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError("youngs_modulus must be positive")
+        # each bound is written so that NaN fails it
+        if not 0 < self.youngs_modulus < math.inf:
+            raise ValueError("youngs_modulus must be positive and finite")
         if not (-1.0 < self.poisson_ratio < 0.5):
             raise ValueError("poisson_ratio must lie in (-1, 0.5)")
         if self.mode not in ("plane_stress", "plane_strain"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.thickness <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0 < self.thickness < math.inf:
+            raise ValueError("thickness must be positive and finite")
 
     def d_matrix(self) -> np.ndarray:
         """3x3 constitutive matrix in Voigt order (xx, yy, xy)."""
@@ -51,17 +53,6 @@ class Material:
                 [0.0, 0.0, 0.5 * (1.0 - 2.0 * nu)],
             ]
         )
-
-
-@dataclass
-class StiffnessMatrix:
-    """Assembled global stiffness over broken-mesh DOFs (node-major)."""
-
-    K: sp.csr_matrix
-
-    @property
-    def n_dof(self) -> int:
-        return self.K.shape[0]
 
 
 def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
@@ -89,11 +80,13 @@ def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     return B, area
 
 
-def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> StiffnessMatrix:
-    """Assemble the global CST stiffness on the broken mesh.
+def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
+    """Assemble the global CST stiffness K on the broken mesh.
 
-    One-point integration, exact for constant-strain triangles. Raises
-    AssemblyError for degenerate (non-positive area) elements.
+    Returns K as a CSR matrix over the broken-mesh DOFs (node-major:
+    2 i, 2 i + 1 are node i's x and y). One-point integration, exact for
+    constant-strain triangles. Raises AssemblyError for degenerate
+    (non-positive area) elements.
     """
     area = triangle_signed_areas(mesh.nodes, mesh.triangles)
     scale = max(np.abs(mesh.nodes).max(initial=0.0), 1.0)
@@ -109,34 +102,33 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> StiffnessMatrix:
     dofs[:, 1::2] = 2 * mesh.triangles + 1
     rows = np.repeat(dofs, 6, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, 6)).reshape(-1)
-    K = sp.coo_matrix(
+    return sp.coo_matrix(
         (ke.reshape(-1), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof)
     ).tocsr()
-    return StiffnessMatrix(K=K)
 
 
-def elastic_energy(stiffness: StiffnessMatrix, u: np.ndarray) -> float:
+def elastic_energy(K: sp.csr_matrix, u: np.ndarray) -> float:
     """Total elastic energy (1/2) u^T K u."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (stiffness.n_dof,):
+    if u.shape != (K.shape[0],):
         raise ValueError(
-            f"displacement length {u.shape} does not match {stiffness.n_dof} DOFs"
+            f"displacement length {u.shape} does not match {K.shape[0]} DOFs"
         )
-    return 0.5 * float(u @ (stiffness.K @ u))
+    return 0.5 * float(u @ (K @ u))
 
 
-def internal_force(stiffness: StiffnessMatrix, jump: JumpOperator, rho: float, state):
+def internal_force(K: sp.csr_matrix, jump: JumpOperator, rho: float, state):
     """Gradient of the augmented Lagrangian with respect to u.
 
     ``K u + A^T (y + rho (A u - delta))``: zero on free DOFs at a
     converged step, the reaction on constrained DOFs.
     """
     au = jump.A @ state.u
-    return stiffness.K @ state.u + jump.A.T @ (state.y + rho * (au - state.delta))
+    return K @ state.u + jump.A.T @ (state.y + rho * (au - state.delta))
 
 
 def reaction_force(
-    stiffness: StiffnessMatrix,
+    K: sp.csr_matrix,
     jump: JumpOperator,
     rho: float,
     state,
@@ -146,6 +138,7 @@ def reaction_force(
 
     Parameters
     ----------
+    K : the stiffness from assemble_stiffness
     state : object with u, delta, y arrays
         A converged step solution.
     node_set : array of private node indices
@@ -154,7 +147,7 @@ def reaction_force(
     node_set = np.asarray(node_set, dtype=np.int64)
     if node_set.size == 0:
         raise ValueError("reaction node set is empty")
-    f = internal_force(stiffness, jump, rho, state)
+    f = internal_force(K, jump, rho, state)
     return np.array(
         [f[2 * node_set].sum(), f[2 * node_set + 1].sum()]
     )

@@ -329,10 +329,7 @@ def parse_config(path) -> RunConfig:
 # outputs
 # ---------------------------------------------------------------------------
 
-STRESS_STRAIN_HEADER = (
-    "step,u_applied,reaction_force,avg_stress,avg_strain,"
-    "iterations,extrapolated,wall_ms"
-)
+STRESS_STRAIN_HEADER = ",".join(f.name for f in fields(StepRow))
 CRACK_FIELD_HEADER = "gauss_point,x,y,delta_n,delta_s,delta_max,status"
 
 
@@ -340,18 +337,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# a cell is formatted by its field's declared type, not its value's, so
+# a numpy scalar in a row cannot change how its column is written
+_CELL = {int: str, float: _fmt, bool: lambda b: "true" if b else "false"}
+_STEP_KINDS = get_type_hints(StepRow)
+
+
 def format_step_row(row: StepRow) -> str:
     return ",".join(
-        [
-            str(row.step),
-            _fmt(row.u_applied),
-            _fmt(row.reaction_force),
-            _fmt(row.avg_stress),
-            _fmt(row.avg_strain),
-            str(row.iterations),
-            "true" if row.extrapolated else "false",
-            _fmt(row.wall_ms),
-        ]
+        _CELL[_STEP_KINDS[f.name]](getattr(row, f.name)) for f in fields(StepRow)
     )
 
 

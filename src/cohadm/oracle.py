@@ -22,6 +22,12 @@ _FINE = (17, 33)
 _FINE_ROUNDS = 6
 _SHRINK = 2.5
 
+# interface constants of every sampled instance (the acceptance suite's)
+SIGMA_C, DELTA_C = 3.0, 0.02287
+# instances per brute-force task; tasks write disjoint slices, so the
+# result does not depend on it
+CHUNK = 512
+
 
 def _potential(d_eff, d_max, sigma_c, delta_c):
     """Cohesive energy per area, spelled out from the shaded areas."""
@@ -122,14 +128,16 @@ class OracleReport:
     mean_gap: float
 
 
-def sample_instances(n: int, seed: int, sigma_c: float = 3.0, delta_c: float = 0.02287):
+def sample_instances(n: int, seed: int):
     """Random local-subproblem instances covering all case branches.
 
     Tractions are uniform in [-2 a sigma_c, 2 a sigma_c]^2, half the
     damage histories are pristine and half uniform in [0, delta_c], the
     mixity parameter cycles through {1, 0.5, 2}, and the penalty is
-    alpha * a * sigma_c / delta_c with alpha uniform in [5, 200].
+    alpha * a * sigma_c / delta_c with alpha uniform in [5, 200], at
+    sigma_c = SIGMA_C and delta_c = DELTA_C.
     """
+    sigma_c, delta_c = SIGMA_C, DELTA_C
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 10.0, size=n)
     p = rng.uniform(-2.0, 2.0, size=(n, 2)) * (a * sigma_c)[:, None]
@@ -142,7 +150,7 @@ def sample_instances(n: int, seed: int, sigma_c: float = 3.0, delta_c: float = 0
     return p, a, d_max, rho, beta
 
 
-def run_oracle(n_samples: int, seed: int, chunk: int = 512) -> OracleReport:
+def run_oracle(n_samples: int, seed: int) -> OracleReport:
     """Compare the closed-form solver against brute force on random instances.
 
     The gap is (solver objective - brute-force objective), nondimensional
@@ -151,8 +159,8 @@ def run_oracle(n_samples: int, seed: int, chunk: int = 512) -> OracleReport:
     """
     from .cohesive import CohesiveParams, local_objective, solve_local_batch
 
-    sigma_c, delta_c = 3.0, 0.02287
-    p, a, d_max, rho, beta = sample_instances(n_samples, seed, sigma_c, delta_c)
+    sigma_c, delta_c = SIGMA_C, DELTA_C
+    p, a, d_max, rho, beta = sample_instances(n_samples, seed)
 
     solver_val = np.empty(n_samples)
     for b in np.unique(beta):
@@ -164,14 +172,13 @@ def run_oracle(n_samples: int, seed: int, chunk: int = 512) -> OracleReport:
     brute_val = np.empty(n_samples)
 
     def _run_chunk(start: int) -> None:
-        sl = slice(start, min(start + chunk, n_samples))
+        sl = slice(start, min(start + CHUNK, n_samples))
         brute_val[sl], _, _ = _brute_batch(
             p[sl], a[sl], d_max[sl], rho[sl], sigma_c, delta_c, beta[sl]
         )
 
-    # chunks write disjoint slices, so results do not depend on the width
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        list(pool.map(_run_chunk, range(0, n_samples, chunk)))
+        list(pool.map(_run_chunk, range(0, n_samples, CHUNK)))
     gaps = (solver_val - brute_val) / (a * sigma_c * delta_c)
     return OracleReport(
         samples=n_samples, max_gap=float(gaps.max()), mean_gap=float(gaps.mean())

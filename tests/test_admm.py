@@ -81,7 +81,7 @@ class TestFactorize:
         jump = build_jump_operator(bm, 2)
         stiffness = assemble_stiffness(bm, soft_material)
         with pytest.raises(SingularSystemError) as err:
-            factorize_system(stiffness.K, jump.A, 1000.0, np.zeros(0, dtype=int), bm.nodes)
+            factorize_system(stiffness, jump.A, 1000.0, np.zeros(0, dtype=int), bm.nodes)
         assert err.value.n_rigid_modes == 3
 
     def test_single_pinned_node_leaves_rotation(
@@ -92,7 +92,7 @@ class TestFactorize:
         stiffness = assemble_stiffness(bm, soft_material)
         pinned = bm.dofs_of([0], "xy")
         with pytest.raises(SingularSystemError) as err:
-            factorize_system(stiffness.K, jump.A, 1000.0, pinned, bm.nodes)
+            factorize_system(stiffness, jump.A, 1000.0, pinned, bm.nodes)
         assert err.value.n_rigid_modes == 1
 
     @pytest.mark.parametrize("strip", [False, True], ids=["square", "strip"])
@@ -106,8 +106,8 @@ class TestFactorize:
         stiffness = assemble_stiffness(bm, soft_material)
         rho = 500.0
         dirichlet = bm.dofs_of(mesh.boundary_sets["left"], "xy")
-        fact = factorize_system(stiffness.K, jump.A, rho, dirichlet, bm.nodes)
-        M = (stiffness.K + rho * (jump.A.T @ jump.A)).toarray()
+        fact = factorize_system(stiffness, jump.A, rho, dirichlet, bm.nodes)
+        M = (stiffness + rho * (jump.A.T @ jump.A)).toarray()
         rng = np.random.default_rng(0)
         rhs = rng.normal(size=bm.n_dof)
         bc = rng.normal(size=len(dirichlet)) * 0.01
@@ -126,7 +126,7 @@ class TestFactorize:
         stiffness = assemble_stiffness(bm, soft_material)
         dirichlet = np.append(bm.dofs_of([0], "xy"), bm.n_dof)
         with pytest.raises(ConfigError, match="out of range"):
-            factorize_system(stiffness.K, jump.A, 1000.0, dirichlet, bm.nodes)
+            factorize_system(stiffness, jump.A, 1000.0, dirichlet, bm.nodes)
 
     def test_checksum_stable(self, two_triangle_square, soft_material, params):
         _, _, _, solver, _ = make_solver(
@@ -161,7 +161,7 @@ class TestUUpdate:
         bc = rng.normal(size=len(dirichlet)) * 1e-3
         u = solver.u_update(y, delta, bc, solver.fact.coupling @ bc)
         grad = (
-            stiffness.K @ u
+            stiffness @ u
             + jump.A.T @ (y + solver.rho * (jump.A @ u - delta))
         )
         free = np.setdiff1d(np.arange(bm.n_dof), dirichlet)
@@ -178,7 +178,7 @@ class TestUUpdate:
         delta = rng.normal(size=2 * jump.n_points) * 1e-4
         bc = np.zeros(len(dirichlet))
         u = solver.u_update(y, delta, bc, solver.fact.coupling @ bc)
-        M = stiffness.K + solver.rho * (jump.A.T @ jump.A)
+        M = stiffness + solver.rho * (jump.A.T @ jump.A)
         rhs = -(jump.A.T @ (y - solver.rho * delta))
         free = solver.fact.free
         resid = (M @ u - rhs)[free]

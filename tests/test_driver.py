@@ -124,6 +124,30 @@ class TestScheduleValidation:
             ExtrapolationPolicy(enabled=True, quality_threshold=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda v: AdmmConfig(alpha=v), ConfigError),
+        (lambda v: AdmmConfig(c_primal=v), ConfigError),
+        (lambda v: AdmmConfig(c_dual=v), ConfigError),
+        (lambda v: CohesiveParams(sigma_c=v, delta_c=DC), ValueError),
+        (lambda v: CohesiveParams(sigma_c=SC, delta_c=v), ValueError),
+        (lambda v: CohesiveParams(sigma_c=SC, delta_c=DC, beta=v), ValueError),
+        (lambda v: Material(youngs_modulus=v, poisson_ratio=0.2), ValueError),
+        (lambda v: Material(youngs_modulus=1.0, poisson_ratio=v), ValueError),
+        (lambda v: Material(youngs_modulus=1.0, poisson_ratio=0.2, thickness=v),
+         ValueError),
+        (lambda v: ExtrapolationPolicy(quality_threshold=v), ConfigError),
+    ],
+    ids=["alpha", "c_primal", "c_dual", "sigma_c", "delta_c", "beta",
+         "youngs_modulus", "poisson_ratio", "thickness", "quality_threshold"],
+)
+def test_non_finite_setting_rejected(build, error, value):
+    with pytest.raises(error):
+        build(value)
+
+
 class TestElasticRun:
     def test_slope_matches_conforming_modulus(self, soft_material):
         """With activation unreachable the response is exactly linear."""
@@ -233,6 +257,23 @@ class TestFractureRun:
         ]
         assert [entry[:2] for entry in residual_log] == expected
 
+    def test_nonconvergence_keeps_the_converged_steps(self, fracture_record):
+        """A cap that the pre-activation steps meet and the snap step does
+        not: the error's partial record holds the step-0 row and the k - 1
+        converged steps before the failing step k."""
+        cap = 100
+        k = next(r.step for r in fracture_record.rows if r.iterations > cap)
+        assert k > 1
+        with pytest.raises(ConvergenceError) as err:
+            fracture_run(AdmmConfig(max_iters=cap))
+        assert err.value.step == k
+        record = err.value.partial_record
+        assert [r.step for r in record.rows] == list(range(k))
+        assert [r.iterations for r in record.rows] == [
+            r.iterations for r in fracture_record.rows[:k]
+        ]
+        assert record.dissipation == fracture_record.dissipation[:k]
+
     def test_relaxation_keeps_curve_and_saves_iterations(self, monkeypatch):
         """The over-relaxed map reaches the plain map's curve in fewer iterations.
 
@@ -322,7 +363,7 @@ def test_operator_mutation_raises(soft_material, params, matrix):
     mesh = rect_strip(4.0, 2.0, 4, 2)
 
     def tamper(broken, jump, solver):
-        target = jump.A if matrix == "A" else solver.stiffness.K
+        target = jump.A if matrix == "A" else solver.K
         target.data[0] *= 2.0
 
     with pytest.raises(OperatorMutatedError):

@@ -9,7 +9,7 @@ import pytest
 from cohadm import fileio
 from cohadm.admm import AdmmConfig
 from cohadm.cohesive import CohesiveParams, point_status
-from cohadm.driver import ExtrapolationPolicy, LoadSchedule, run_quasistatic
+from cohadm.driver import ExtrapolationPolicy, LoadSchedule, StepRow, run_quasistatic
 from cohadm.elasticity import Material
 from cohadm.errors import ConfigError, MeshParseError
 from cohadm.fileio import (
@@ -357,10 +357,28 @@ class TestOutputs:
         with open(out / "stress_strain.csv", newline="") as fh:
             text = fh.read()
         lines = text.split("\n")
-        assert lines[0] == STRESS_STRAIN_HEADER
+        # the header the README documents and perfbench/run.py reads by name
+        assert lines[0] == STRESS_STRAIN_HEADER == (
+            "step,u_applied,reaction_force,avg_stress,avg_strain,"
+            "iterations,extrapolated,wall_ms"
+        )
         # header + (n_steps + 1) rows + trailing newline
         assert len([l for l in lines if l]) == 1 + 5
         assert "\r" not in text
+
+    def test_step_row_cells(self):
+        """Each cell is formatted by its field's declared type."""
+        row = StepRow(
+            step=np.int64(3), u_applied=0.1, reaction_force=np.float64(2 / 3),
+            avg_stress=-1e-300, avg_strain=0.0, iterations=17,
+            extrapolated=np.bool_(True), wall_ms=12.5,
+        )
+        assert format_step_row(row) == (
+            "3,0.10000000000000001,0.66666666666666663,-1e-300,"
+            "0,17,true,12.5"
+        )
+        row.extrapolated = False
+        assert format_step_row(row).split(",")[6] == "false"
 
     def test_stress_column_consistency(self, small_run):
         record, out, _ = small_run
