@@ -59,13 +59,15 @@ def main():
 
     strip = rect_strip(10.0, 5.0, 10, 10)
     write_mesh(strip, os.path.join(args.target, "strip.mesh"))
-    with open(os.path.join(args.target, "strip.yaml"), "w") as fh:
+    with open(os.path.join(args.target, "strip.yaml"), "w",
+              encoding="utf-8", newline="\n") as fh:
         fh.write(STRIP_CONFIG)
 
     plate = porous_plate(width=50.0, height=50.0, nx=32, ny=32,
                          n_pores=8, seed=4)
     write_mesh(plate, os.path.join(args.target, "porous.mesh"))
-    with open(os.path.join(args.target, "porous.yaml"), "w") as fh:
+    with open(os.path.join(args.target, "porous.yaml"), "w",
+              encoding="utf-8", newline="\n") as fh:
         fh.write(POROUS_CONFIG)
 
     print(f"wrote strip.mesh ({strip.n_triangles} elements) and "

@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 from .admm import AdmmConfig, AdmmSolver, SolverState, factorize_system
 from .cohesive import (
     CohesiveParams,
-    CohesiveState,
+    LocalSolveContext,
+    commit_history,
     phi_c,
     solve_local,
     solve_local_batch,
@@ -27,17 +28,18 @@ __all__ = [
     "AdmmSolver",
     "BrokenMesh",
     "CohesiveParams",
-    "CohesiveState",
     "ExtrapolationPolicy",
     "InputMesh",
     "JumpOperator",
     "LoadSchedule",
+    "LocalSolveContext",
     "Material",
     "RunRecord",
     "SolverState",
     "assemble_stiffness",
     "break_mesh",
     "build_jump_operator",
+    "commit_history",
     "elastic_energy",
     "extrapolate",
     "extrapolation_quality",

@@ -371,15 +371,16 @@ class AdmmSolver:
     """Holds the factorized system and runs load steps to convergence.
 
     The solver holds only what is fixed for its life: the CSR stiffness
-    K it was given, the penalty, checked once here, the factor of
-    K + rho A^T A, A^T stored as CSR, and the residual buffers. What is
-    fixed for one load step, because the damage history and the boundary
-    values are frozen while it iterates, run_step builds as locals and
-    passes to the updates: coupling @ bc_values and the local-solve
-    context. A step only solves: it reads the damage history it is given
-    and returns the converged state, and the caller commits that history
-    and takes the reaction (`reaction`) on the nodes it chooses. The Anderson differences are the one thing carried from
-    step to step, and only while the damage history is unchanged.
+    K it was given, the penalty, checked here before the factorization,
+    the factor of K + rho A^T A, A^T stored as CSR, and the residual
+    buffers. What is fixed for one load step, because the damage history
+    and the boundary values are frozen while it iterates, run_step builds
+    as locals and passes to the updates: coupling @ bc_values and the
+    LocalSolveContext. A step only solves: it reads the damage history it
+    is given and returns the converged state, and the caller commits that
+    history and takes the reaction (`reaction`) on the nodes it chooses.
+    The Anderson differences are the one thing carried from step to step,
+    and only while the damage history is unchanged.
     Exclusive access is assumed while run_step executes; the underlying
     matrices are immutable and may be shared across threads.
     """
@@ -433,13 +434,6 @@ class AdmmSolver:
             h.update(m.data.tobytes())
         return h.hexdigest()
 
-    def local_context(self, delta_max: np.ndarray) -> LocalSolveContext:
-        """Local-solve context at the frozen damage history delta_max.
-
-        The penalty was checked in __init__.
-        """
-        return LocalSolveContext(self.jump.areas, delta_max, self.rho, self.params)
-
     def u_update(
         self,
         y: np.ndarray,
@@ -460,13 +454,10 @@ class AdmmSolver:
     ) -> np.ndarray:
         """Separable closed-form minimization at every Gauss point.
 
-        `local` is the local_context of the step's damage history.
+        `local` is the LocalSolveContext of the step's damage history.
         """
         p = (y + self.rho * au).reshape(-1, 2)
-        delta = solve_local_batch(
-            p, local.a, local.delta_max, self.rho, self.params, context=local
-        )
-        return delta.reshape(-1)
+        return solve_local_batch(p, local).reshape(-1)
 
     def check_convergence(
         self, au: np.ndarray, delta: np.ndarray, delta_prev: np.ndarray
@@ -512,7 +503,7 @@ class AdmmSolver:
         if anderson is not None:
             anderson.start(delta_max)
         lifted = self.fact.coupling @ bc_values
-        local = self.local_context(delta_max)
+        local = LocalSolveContext(self.jump.areas, delta_max, self.rho, self.params)
         for it in range(1, self.config.max_iters + 1):
             u = self.u_update(y, delta, bc_values, lifted)
             au = self.jump.A @ u

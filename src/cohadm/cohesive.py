@@ -57,20 +57,13 @@ class CohesiveParams:
         return np.sqrt(delta[..., 0] ** 2 + (self.beta * delta[..., 1]) ** 2)
 
 
-@dataclass
-class CohesiveState:
-    """Per-Gauss-point damage history: largest effective opening attained."""
+def commit_history(delta_max: np.ndarray, delta, params: CohesiveParams) -> None:
+    """Fold a converged opening field into the damage history delta_max.
 
-    delta_max: np.ndarray
-
-    @classmethod
-    def pristine(cls, n_points: int) -> "CohesiveState":
-        return cls(delta_max=np.zeros(n_points))
-
-    def commit(self, delta: np.ndarray, params: CohesiveParams) -> None:
-        """Fold a converged opening field into the history (irreversible)."""
-        eff = params.effective_opening(np.asarray(delta).reshape(-1, 2))
-        np.maximum(self.delta_max, eff, out=self.delta_max)
+    delta_max is updated in place and never decreases (irreversible).
+    """
+    eff = params.effective_opening(np.asarray(delta).reshape(-1, 2))
+    np.maximum(delta_max, eff, out=delta_max)
 
 
 def _secant_stiffness(delta_max, params: CohesiveParams):
@@ -261,10 +254,11 @@ class LocalSolveContext:
     Everything here depends only on the areas, the frozen damage history,
     the penalty and the law, so a load step builds it once and each ADMM
     iteration only does the work that depends on the drive p. Building
-    one does not check the penalty; solve_local_batch checks it first.
+    one checks the penalty against the strong-convexity bound.
     """
 
     def __init__(self, a, delta_max, rho, params: CohesiveParams):
+        validate_penalty(rho, a, params)
         sc, dc, beta = params.sigma_c, params.delta_c, params.beta
         self.a = a = np.asarray(a, dtype=float)
         self.delta_max = dm = np.asarray(delta_max, dtype=float)
@@ -296,108 +290,89 @@ class LocalSolveContext:
             self.lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)
             self.hi = np.full_like(self.lo, dc)
 
-    def solve(self, p) -> np.ndarray:
-        """Minimizers for the (n, 2) drives p; see solve_local_batch."""
-        p = np.asarray(p, dtype=float).reshape(-1, 2)
-        beta = self.params.beta
-        pn, ps = p[:, 0], p[:, 1]
-        # compression transmits no normal drive; the activation measure
-        # folds the mixity weighting into the sliding component
-        pn_pos = np.maximum(pn, 0.0)
-        if beta == 1.0:
-            return self._solve_equal_mixity(pn_pos, ps)
-        p_eff = np.hypot(pn_pos, ps / beta)
-        closed = self.pristine & (p_eff <= self.a_sc)
-        return self._solve_mixed(p, pn_pos, ps, closed)
 
-    def _solve_equal_mixity(self, pn_pos, ps):
-        """Closed-form branch tiling for beta = 1.
+def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
+    """Closed-form branch tiling for beta = 1.
 
-        With equal mixity the minimizer is radial along (max(p_n, 0), p_s),
-        and the radial derivative of the objective is continuous and
-        strictly increasing, so exactly one branch stationary point is
-        admissible: the unloading secant when it lands below the damage
-        history, the flat failed branch when p exceeds rho delta_c, the
-        loading wedge otherwise.
+    With equal mixity the minimizer is radial along (max(p_n, 0), p_s),
+    and the radial derivative of the objective is continuous and
+    strictly increasing, so exactly one branch stationary point is
+    admissible: the unloading secant when it lands below the damage
+    history, the flat failed branch when p exceeds rho delta_c, the
+    loading wedge otherwise.
 
-        Only the points that may open are solved. The computed drive
-        hypot(pn_pos, ps) is within a few ulp of the exact norm, which is
-        at most pn_pos + |ps|, so a pristine point whose sum is at most
-        sure_closed has a drive below a sigma_c and stays closed with a
-        zero scale. Every other point takes the same operations as when
-        all points are solved.
-        """
-        scale = np.zeros(len(ps))
-        # every point not proven closed, NaN drives included
-        i = np.flatnonzero(~(pn_pos + np.abs(ps) <= self.sure_closed))
-        if len(i):
-            def take(v):          # rho may be one value for every point
-                return v[i] if np.ndim(v) else v
+    Only the points that may open are solved. The computed drive
+    hypot(pn_pos, ps) is within a few ulp of the exact norm, which is
+    at most pn_pos + |ps|, so a pristine point whose sum is at most
+    sure_closed has a drive below a sigma_c and stays closed with a
+    zero scale. Every other point takes the same operations as when
+    all points are solved.
+    """
+    scale = np.zeros(len(ps))
+    # every point not proven closed, NaN drives included
+    i = np.flatnonzero(~(pn_pos + np.abs(ps) <= local.sure_closed))
+    if len(i):
+        def take(v):          # rho may be one value for every point
+            return v[i] if np.ndim(v) else v
 
-            a_sc = self.a_sc[i]
-            drive = np.hypot(pn_pos[i], ps[i])
-            closed = self.pristine[i] & (drive <= a_sc)
-            with np.errstate(invalid="ignore"):
-                d_unload = drive / self.secant[i]
-            unloads = drive <= self.unload_limit[i]
-            d = np.where(
-                self.damaged[i] & unloads,
-                d_unload,
-                np.where(
-                    drive >= take(self.rho_dc),
-                    drive / take(self.rho),
-                    np.clip(
-                        (drive - a_sc) / self.softening[i],
-                        0.0, self.params.delta_c,
-                    ),
+        a_sc = local.a_sc[i]
+        drive = np.hypot(pn_pos[i], ps[i])
+        closed = local.pristine[i] & (drive <= a_sc)
+        with np.errstate(invalid="ignore"):
+            d_unload = drive / local.secant[i]
+        unloads = drive <= local.unload_limit[i]
+        d = np.where(
+            local.damaged[i] & unloads,
+            d_unload,
+            np.where(
+                drive >= take(local.rho_dc),
+                drive / take(local.rho),
+                np.clip(
+                    (drive - a_sc) / local.softening[i],
+                    0.0, local.params.delta_c,
                 ),
-            )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scale_i = np.where(drive > 0.0, d / drive, 0.0)
-            scale_i[closed] = 0.0
-            scale[i] = scale_i
-        return np.stack([pn_pos * scale, ps * scale], axis=1)
-
-    def _solve_mixed(self, p, pn_pos, ps, closed):
-        """Lowest of three branch candidates, for beta != 1."""
-        a, dm, rho, params = self.a, self.delta_max, self.rho, self.params
-        dc, beta = params.delta_c, params.beta
-
-        # --- candidate 1: unloading secant (only meaningful for dm > 0) --
-        with np.errstate(divide="ignore", invalid="ignore"):
-            du = np.stack([pn_pos / self.secant, ps / self.secant_s], axis=1)
-        du = np.where(np.isfinite(du), du, 0.0)
-
-        # --- candidate 2: fully failed (flat potential) ------------------
-        df = np.stack([pn_pos / rho, ps / rho], axis=1)
-
-        # --- candidate 3: loading wedge stationary point -----------------
-        d_load = _loading_root(pn_pos, ps, self.a_sc, self.lo, self.hi, rho, params)
-        q = self.a_sc * (1.0 / d_load - 1.0 / dc)
-        dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
-
-        # --- pick the lowest objective -----------------------------------
-        fu = np.where(
-            self.damaged, local_objective(du, p, a, dm, rho, params), np.inf
+            ),
         )
-        ff = local_objective(df, p, a, dm, rho, params)
-        fl = local_objective(dl, p, a, dm, rho, params)
-        best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
-        delta = np.where(
-            (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
-        )
-        delta[closed] = 0.0
-        return delta
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale_i = np.where(drive > 0.0, d / drive, 0.0)
+        scale_i[closed] = 0.0
+        scale[i] = scale_i
+    return np.stack([pn_pos * scale, ps * scale], axis=1)
 
 
-def solve_local_batch(
-    p: np.ndarray,
-    a: np.ndarray,
-    delta_max: np.ndarray,
-    rho,
-    params: CohesiveParams,
-    context: LocalSolveContext | None = None,
-) -> np.ndarray:
+def _solve_mixed(local: LocalSolveContext, p, pn_pos, ps, closed):
+    """Lowest of three branch candidates, for beta != 1."""
+    a, dm, rho, params = local.a, local.delta_max, local.rho, local.params
+    dc, beta = params.delta_c, params.beta
+
+    # --- candidate 1: unloading secant (only meaningful for dm > 0) ------
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.stack([pn_pos / local.secant, ps / local.secant_s], axis=1)
+    du = np.where(np.isfinite(du), du, 0.0)
+
+    # --- candidate 2: fully failed (flat potential) ----------------------
+    df = np.stack([pn_pos / rho, ps / rho], axis=1)
+
+    # --- candidate 3: loading wedge stationary point ---------------------
+    d_load = _loading_root(pn_pos, ps, local.a_sc, local.lo, local.hi, rho, params)
+    q = local.a_sc * (1.0 / d_load - 1.0 / dc)
+    dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
+
+    # --- pick the lowest objective ---------------------------------------
+    fu = np.where(
+        local.damaged, local_objective(du, p, a, dm, rho, params), np.inf
+    )
+    ff = local_objective(df, p, a, dm, rho, params)
+    fl = local_objective(dl, p, a, dm, rho, params)
+    best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
+    delta = np.where(
+        (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
+    )
+    delta[closed] = 0.0
+    return delta
+
+
+def solve_local_batch(p: np.ndarray, local: LocalSolveContext) -> np.ndarray:
     """Minimize the local ADMM objective at every Gauss point.
 
     Parameters
@@ -405,37 +380,32 @@ def solve_local_batch(
     p : (n, 2) array
         Driving traction per point, y_i + rho * (A u)_i, in the local
         (normal, tangential) frame; force units.
-    a : (n,) array
-        Effective areas.
-    delta_max : (n,) array
-        Frozen damage history for this load step.
-    rho : float or (n,) array
-        Penalty; must satisfy the strong-convexity bound.
-    context : LocalSolveContext, optional
-        The context of these a, delta_max, rho and params, for a caller
-        that solves many drives in one load step and has checked the
-        penalty once. Without it the penalty is checked and a context
-        built for this call.
+    local : LocalSolveContext
+        The effective areas, frozen damage history, penalty and law of
+        the n points.
 
     Returns
     -------
     delta : (n, 2) array with delta_n >= 0 everywhere.
     """
-    if context is None:
-        validate_penalty(rho, a, params)
-        context = LocalSolveContext(a, delta_max, rho, params)
-    return context.solve(p)
+    p = np.asarray(p, dtype=float).reshape(-1, 2)
+    beta = local.params.beta
+    pn, ps = p[:, 0], p[:, 1]
+    # compression transmits no normal drive; the activation measure
+    # folds the mixity weighting into the sliding component
+    pn_pos = np.maximum(pn, 0.0)
+    if beta == 1.0:
+        return _solve_equal_mixity(local, pn_pos, ps)
+    p_eff = np.hypot(pn_pos, ps / beta)
+    closed = local.pristine & (p_eff <= local.a_sc)
+    return _solve_mixed(local, p, pn_pos, ps, closed)
 
 
 def solve_local(
     p, a: float, delta_max: float, rho: float, params: CohesiveParams
 ) -> np.ndarray:
     """Single-point convenience wrapper around solve_local_batch."""
-    delta = solve_local_batch(
-        np.asarray(p, dtype=float).reshape(1, 2),
-        np.array([a], dtype=float),
-        np.array([delta_max], dtype=float),
-        rho,
-        params,
+    local = LocalSolveContext(
+        np.array([a], dtype=float), np.array([delta_max], dtype=float), rho, params
     )
-    return delta[0]
+    return solve_local_batch(np.asarray(p, dtype=float).reshape(1, 2), local)[0]

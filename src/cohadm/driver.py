@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm import AdmmConfig, AdmmSolver, SolverState
-from .cohesive import CohesiveParams, CohesiveState, dissipated_energy
+from .cohesive import CohesiveParams, commit_history, dissipated_energy
 from .elasticity import Material, assemble_stiffness
 from .errors import ConfigError, ConvergenceError, OperatorMutatedError
 from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
@@ -46,6 +46,10 @@ class LoadSchedule:
     def __post_init__(self):
         if self.direction not in ("x", "y"):
             raise ConfigError("schedule direction must be 'x' or 'y'")
+        # each bound is written so that NaN fails it
+        for name in ("u_start", "u_end"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         for entry in self.fixed_sets:
@@ -94,7 +98,7 @@ class RunRecord:
     rows: list[StepRow] = field(default_factory=list)
     dissipation: list[float] = field(default_factory=list)
     final_state: SolverState | None = None
-    cohesive_state: CohesiveState | None = None
+    delta_max: np.ndarray | None = None
     jump: object = None
 
     @property
@@ -198,11 +202,10 @@ def run_quasistatic(
 
     Each step is a solve that changes nothing outside the solver but its
     Anderson rows; this loop then commits the converged openings to the
-    damage history and takes the reaction on the loaded nodes (the
-    solver holds no reaction nodes).
+    damage history delta_max and takes the reaction on the loaded nodes.
 
     setup_sink(mesh, jump, solver) fires once after assembly;
-    step_sink(row, state, cohesive_state) after every converged step
+    step_sink(row, state, delta_max) after every converged step
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
@@ -243,7 +246,7 @@ def run_quasistatic(
         jump=jump,
     )
 
-    cstate = CohesiveState.pristine(jump.n_points)
+    delta_max = np.zeros(jump.n_points)
     scale = StateScale(
         cohesive, float(np.mean(jump.areas)) if jump.n_points else 1.0
     )
@@ -251,10 +254,10 @@ def run_quasistatic(
     def emit(row: StepRow, state: SolverState) -> None:
         record.rows.append(row)
         record.dissipation.append(
-            dissipated_energy(cstate.delta_max, jump.areas, cohesive)
+            dissipated_energy(delta_max, jump.areas, cohesive)
         )
         if step_sink is not None:
-            step_sink(row, state, cstate)
+            step_sink(row, state, delta_max)
 
     z_prev = solver.initial_state()      # z_{k-1}
     emit(
@@ -288,11 +291,11 @@ def run_quasistatic(
         warm = trial if use_extrap else z_prev
         t0 = time.perf_counter()
         try:
-            result = solver.run_step(warm, bc_values, cstate.delta_max, step=k)
+            result = solver.run_step(warm, bc_values, delta_max, step=k)
         except ConvergenceError as exc:
             exc.partial_record = record
             raise
-        cstate.commit(result.state.delta, cohesive)
+        commit_history(delta_max, result.state.delta, cohesive)
         force = float(solver.reaction(result.state, reaction_nodes)[axis])
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
@@ -322,5 +325,5 @@ def run_quasistatic(
     if solver.checksum() != matrix_digest:
         raise OperatorMutatedError("system operator changed during the run")
     record.final_state = z_prev
-    record.cohesive_state = cstate
+    record.delta_max = delta_max
     return record

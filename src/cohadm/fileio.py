@@ -413,7 +413,7 @@ class RunWriter:
     def on_iteration(self, step, it, primal, dual) -> None:
         self._it.write(f"{step} {it} {_fmt(primal)} {_fmt(dual)}\n")
 
-    def on_step(self, row: StepRow, state, cohesive_state) -> None:
+    def on_step(self, row: StepRow, state, delta_max) -> None:
         self._ss.write(format_step_row(row) + "\n")
         self._ss.flush()
         self._it.flush()
@@ -423,7 +423,7 @@ class RunWriter:
                 self._jump,
                 self._params,
                 state.delta,
-                cohesive_state.delta_max,
+                delta_max,
             )
 
     def finalize(self, record: RunRecord) -> None:
@@ -433,7 +433,7 @@ class RunWriter:
                 self._jump,
                 self._params,
                 record.final_state.delta,
-                record.cohesive_state.delta_max,
+                record.delta_max,
             )
         self.close()
 

@@ -10,6 +10,7 @@ and effective areas. The jump operator maps nodal displacements to opening
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,8 +293,8 @@ def build_jump_operator(
     """
     if gauss_per_edge < 1:
         raise ValueError("gauss_per_edge must be >= 1")
-    if thickness <= 0:
-        raise ValueError("thickness must be positive")
+    if not 0 < thickness < math.inf:
+        raise ValueError("thickness must be positive and finite")
     edges = mesh.interfaces
     n_edges = len(edges)
     n_points = n_edges * gauss_per_edge

@@ -157,7 +157,12 @@ def run_oracle(n_samples: int, seed: int) -> OracleReport:
     in units of a sigma_c delta_c, reported as max and mean over samples.
     A correct solver never loses by more than roundoff.
     """
-    from .cohesive import CohesiveParams, local_objective, solve_local_batch
+    from .cohesive import (
+        CohesiveParams,
+        LocalSolveContext,
+        local_objective,
+        solve_local_batch,
+    )
 
     sigma_c, delta_c = SIGMA_C, DELTA_C
     p, a, d_max, rho, beta = sample_instances(n_samples, seed)
@@ -166,7 +171,8 @@ def run_oracle(n_samples: int, seed: int) -> OracleReport:
     for b in np.unique(beta):
         params = CohesiveParams(sigma_c=sigma_c, delta_c=delta_c, beta=float(b))
         g = beta == b
-        delta = solve_local_batch(p[g], a[g], d_max[g], rho[g], params)
+        local = LocalSolveContext(a[g], d_max[g], rho[g], params)
+        delta = solve_local_batch(p[g], local)
         solver_val[g] = local_objective(delta, p[g], a[g], d_max[g], rho[g], params)
 
     brute_val = np.empty(n_samples)

@@ -12,7 +12,8 @@ from cohadm.admm import (
 )
 from cohadm.cohesive import (
     CohesiveParams,
-    CohesiveState,
+    LocalSolveContext,
+    commit_history,
     loading_points,
     solve_local,
     solve_local_batch,
@@ -26,6 +27,13 @@ from cohadm.meshgen import porous_plate, rect_strip
 from oracles import conforming_solve
 
 SC, DC = 3.0, 0.02287
+
+
+def step_context(solver, delta_max):
+    """The local-solve context run_step builds for delta_max."""
+    return LocalSolveContext(
+        solver.jump.areas, delta_max, solver.rho, solver.params
+    )
 
 
 def make_solver(mesh, material, params, config, fixed_spec, sink=None):
@@ -193,7 +201,7 @@ class TestDeltaUpdate:
         au = np.full(2 * jump.n_points, 1e-9)
         y = np.zeros(2 * jump.n_points)
         delta = solver.delta_update(
-            au, y, solver.local_context(np.zeros(jump.n_points))
+            au, y, step_context(solver, np.zeros(jump.n_points))
         )
         assert np.array_equal(delta, np.zeros(2 * jump.n_points))
 
@@ -206,7 +214,7 @@ class TestDeltaUpdate:
         au = np.zeros(2 * n)
         y = np.zeros(2 * n)
         dm = np.zeros(n)
-        local = solver.local_context(dm)
+        local = step_context(solver, dm)
         base = solver.delta_update(au, y, local)
         y2 = y.copy()
         y2[6] = 10.0 * SC * jump.areas[3]   # drive point 3 far past activation
@@ -227,7 +235,7 @@ class TestDeltaUpdate:
         au = rng.normal(size=2 * n) * 1e-4
         y = rng.normal(size=2 * n) * SC
         dm = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0, DC, size=n))
-        got = solver.delta_update(au, y, solver.local_context(dm)).reshape(-1, 2)
+        got = solver.delta_update(au, y, step_context(solver, dm)).reshape(-1, 2)
         p = (y + solver.rho * au).reshape(-1, 2)
         for i in range(n):
             single = solve_local(p[i], jump.areas[i], dm[i], solver.rho, params)
@@ -246,7 +254,7 @@ class TestDeltaUpdate:
         au = rng.normal(size=2 * n) * 2e-4
         y = rng.normal(size=2 * n) * SC
         dm = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0, DC, size=n))
-        got = solver.delta_update(au, y, solver.local_context(dm)).reshape(-1, 2)
+        got = solver.delta_update(au, y, step_context(solver, dm)).reshape(-1, 2)
         p = (y + solver.rho * au).reshape(-1, 2)
         for i in rng.choice(n, size=12, replace=False):
             mine = local_objective(
@@ -267,17 +275,17 @@ class TestDeltaUpdate:
         )
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 5e-3
-        cstate = CohesiveState.pristine(jump.n_points)
-        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max)
-        cstate.commit(result.state.delta, params)
-        assert cstate.delta_max.max() > 0.0
+        delta_max = np.zeros(jump.n_points)
+        result = solver.run_step(solver.initial_state(), bc, delta_max)
+        commit_history(delta_max, result.state.delta, params)
+        assert delta_max.max() > 0.0
         au = jump.A @ result.state.u
         got = solver.delta_update(
-            au, result.state.y, solver.local_context(cstate.delta_max)
+            au, result.state.y, step_context(solver, delta_max)
         )
         p = (result.state.y + solver.rho * au).reshape(-1, 2)
         want = solve_local_batch(
-            p, jump.areas, cstate.delta_max.copy(), solver.rho, params
+            p, LocalSolveContext(jump.areas, delta_max.copy(), solver.rho, params)
         )
         assert got.tobytes() == want.reshape(-1).tobytes()
 
@@ -368,20 +376,20 @@ class TestRunStep:
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-4)
-        first = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
-        again = solver.run_step(first.state, bc, cstate.delta_max, step=2)
+        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        again = solver.run_step(first.state, bc, delta_max, step=2)
         assert again.iterations <= 2
 
     def test_elastic_step_matches_conforming_fea(self, soft_material, params):
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params, c=0.001
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         pull = 1e-4   # far below activation
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
 
         bc_map = {}
         for n in mesh.boundary_sets["left"]:
@@ -403,9 +411,9 @@ class TestRunStep:
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # still below activation
-        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
         state = result.state
         p = (state.y + solver.rho * (jump.A @ state.u - state.delta)).reshape(-1, 2)
         p_eff = np.hypot(np.maximum(p[:, 0], 0.0), p[:, 1] / params.beta)
@@ -422,9 +430,9 @@ class TestRunStep:
         )
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 0.05
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=7)
+            solver.run_step(solver.initial_state(), bc, delta_max, step=7)
         assert err.value.step == 7
         assert err.value.iterations == 3
         assert err.value.primal > 0 or err.value.dual > 0
@@ -437,10 +445,10 @@ class TestRunStep:
             AdmmSolver, "delta_update",
             lambda self, au, y, local: np.full_like(au, np.nan),
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=4)
+            solver.run_step(solver.initial_state(), bc, delta_max, step=4)
         assert err.value.step == 4
         assert err.value.iterations == 1
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
@@ -450,13 +458,13 @@ class TestRunStep:
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
-        first = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
         assert first.iterations > 1
-        cstate.commit(first.state.delta, params)
-        assert cstate.delta_max.max() > 0.0
-        again = solver.run_step(first.state, bc, cstate.delta_max, step=2)
+        commit_history(delta_max, first.state.delta, params)
+        assert delta_max.max() > 0.0
+        again = solver.run_step(first.state, bc, delta_max, step=2)
         assert again.iterations == 1
         cfg = solver.config
         tol = 10 * cfg.c_primal * jump.areas.mean() / solver.rho
@@ -501,9 +509,9 @@ class TestRunStep:
             return delta
 
         solver.delta_update = recorded
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
         return result, iterates, jump, solver
 
     def test_anderson_saves_iterations_before_activation(
@@ -527,18 +535,18 @@ class TestRunStep:
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params, c=c
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         first = solver.run_step(
             solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
-            cstate.delta_max, step=1,
+            delta_max, step=1,
         )
-        cstate.commit(first.state.delta, params)
-        assert not cstate.delta_max.any()
+        commit_history(delta_max, first.state.delta, params)
+        assert not delta_max.any()
         bc = self.bc_values(dirichlet, right, 2e-3)
-        carried = solver.run_step(first.state, bc, cstate.delta_max, step=2)
+        carried = solver.run_step(first.state, bc, delta_max, step=2)
         unused_solver = self.stretch_setup(soft_material, params, c=c)[4]
         fresh = unused_solver.run_step(
-            first.state, bc, CohesiveState.pristine(jump.n_points).delta_max, step=2
+            first.state, bc, np.zeros(jump.n_points), step=2
         )
         assert carried.iterations <= 3 < fresh.iterations
         tol = 10 * c * jump.areas.mean() / solver.rho
@@ -562,19 +570,19 @@ class TestRunStep:
             return plain_update(au, y, local)
 
         solver.delta_update = recorded
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
         state = solver.run_step(
-            solver.initial_state(), bc, cstate.delta_max, step=1
+            solver.initial_state(), bc, delta_max, step=1
         ).state
         counts.clear()
-        state = solver.run_step(state, bc, cstate.delta_max, step=2).state
+        state = solver.run_step(state, bc, delta_max, step=2).state
         assert counts[0] > 0          # unchanged history: the rows carry
         opened = np.zeros(2 * jump.n_points)
         opened[0] = 0.1 * params.delta_c
-        cstate.commit(opened, params)
+        commit_history(delta_max, opened, params)
         counts.clear()
-        solver.run_step(state, bc, cstate.delta_max, step=3)
+        solver.run_step(state, bc, delta_max, step=3)
         assert counts[0] == 0
 
     def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
@@ -607,10 +615,10 @@ class TestRunStep:
             return np.full_like(delta, np.nan) if len(calls) == 4 else delta
 
         solver.delta_update = poisoned
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # before activation
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=4)
+            solver.run_step(solver.initial_state(), bc, delta_max, step=4)
         assert calls[-1] > 0          # the poisoned iterate was accelerated
         assert err.value.iterations == 4
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
@@ -619,9 +627,9 @@ class TestRunStep:
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )
-        cstate = CohesiveState.pristine(jump.n_points)
+        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        result = solver.run_step(solver.initial_state(), bc, cstate.delta_max, step=1)
+        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
         left = reaction_force(
             stiffness, jump, solver.rho, result.state,
             bm.private_nodes_of(mesh.boundary_sets["left"]),
@@ -674,10 +682,10 @@ def test_gauss_point_permutation_invariance(soft_material, params):
     results = []
     for jp in (jump, jump_perm):
         solver = AdmmSolver(stiffness, jp, params, cfg, dirichlet, bm.nodes)
-        cstate = CohesiveState.pristine(jp.n_points)
+        delta_max = np.zeros(jp.n_points)
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = pull
-        results.append(solver.run_step(solver.initial_state(), bc, cstate.delta_max))
+        results.append(solver.run_step(solver.initial_state(), bc, delta_max))
 
     base, permuted = results
     assert np.abs(base.state.u - permuted.state.u).max() <= 1e-10
@@ -745,16 +753,16 @@ def test_anderson_carried_rows_solve_a_shifted_map():
     assert carried.count == 0
 
 
-def reference_run_step(solver, state0, bc_values, cohesive_state, history):
+def reference_run_step(solver, state0, bc_values, delta_max, history):
     """One load step as the iteration computed it before the per-step
-    context: A.T built for every product, a checked local solve per
-    iteration, coupling @ bc_values per solve and residuals from fresh
-    temporaries. `history` is one dict per run: it keeps the Anderson
-    differences of the last step while delta_max is unchanged, and a new
-    _Anderson otherwise. Commits nothing; returns (state, iterations)."""
+    context: A.T built for every product, a freshly checked local-solve
+    context per iteration, coupling @ bc_values per solve and residuals
+    from fresh temporaries. `history` is one dict per run: it keeps the
+    Anderson differences of the last step while delta_max is unchanged,
+    and a new _Anderson otherwise. Commits nothing; returns (state,
+    iterations)."""
     jump, rho, params, fact = solver.jump, solver.rho, solver.params, solver.fact
     areas2 = np.repeat(jump.areas, 2)
-    delta_max = cohesive_state.delta_max
     anderson = history.get("anderson")
     if anderson is None or not np.array_equal(history["delta_max"], delta_max):
         anderson = admm._Anderson(
@@ -774,7 +782,8 @@ def reference_run_step(solver, state0, bc_values, cohesive_state, history):
         au = jump.A @ u
         au_hat = (au - delta) * admm.RELAXATION + delta
         p = (y + rho * au_hat).reshape(-1, 2)
-        delta_g = solve_local_batch(p, jump.areas, delta_max, rho, params)
+        local = LocalSolveContext(jump.areas, delta_max, rho, params)
+        delta_g = solve_local_batch(p, local)
         delta_g = delta_g.reshape(-1)
         y_g = y + rho * (au_hat - delta_g)
         r = rho * (au - delta_g) / areas2
@@ -806,8 +815,7 @@ def check_every_step(monkeypatch):
 
     def checked(self, state0, bc_values, delta_max, step=0):
         want, want_iters = reference_run_step(
-            self, state0, bc_values, CohesiveState(delta_max=delta_max.copy()),
-            history,
+            self, state0, bc_values, delta_max.copy(), history
         )
         got = run_step(self, state0, bc_values, delta_max, step)
         assert got.iterations == want_iters, f"step {step}"
@@ -857,4 +865,4 @@ def test_iterates_match_reference_at_mixity_two(monkeypatch):
     assert len(counts) == 16 and max(counts) > 50
     stresses = np.asarray(record.stresses)
     assert stresses.argmax() < len(stresses) - 1        # past the peak
-    assert (record.cohesive_state.delta_max > 0.0).sum() > 10
+    assert (record.delta_max > 0.0).sum() > 10

@@ -162,7 +162,7 @@ def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
 def test_run_io_error_exits_one(strip_inputs, tmp_path, capsys, monkeypatch):
     mesh_path, config_path = strip_inputs
 
-    def full_disk(self, row, state, cohesive_state):
+    def full_disk(self, row, state, delta_max):
         raise OSError("No space left on device")
 
     closed = []

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cohadm.cohesive import (
     CohesiveParams,
-    CohesiveState,
+    LocalSolveContext,
+    commit_history,
     dissipated_energy,
     loading_points,
     local_objective,
@@ -179,7 +180,7 @@ class TestSolveLocal:
         a = rng.uniform(0.5, 2.0, size=n)
         dm = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0, DC, size=n))
         rho = 120.0 * a.max() * SC / DC
-        batch = solve_local_batch(p, a, dm, rho, params)
+        batch = solve_local_batch(p, LocalSolveContext(a, dm, rho, params))
         for i in range(n):
             single = solve_local(p[i], a[i], dm[i], rho, params)
             assert np.allclose(batch[i], single, atol=1e-15)
@@ -188,10 +189,21 @@ class TestSolveLocal:
         with pytest.raises(ConfigError, match="strong-convexity"):
             solve_local([1.0, 0.0], 1.0, 0.0, SC / DC, params)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_context_rejects_weak_penalty(self, beta):
+        """Building the per-step context checks the penalty, so no batch
+        solve can run on one that breaks strong convexity."""
+        params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=beta)
+        a = np.array([0.1, 1.0])
+        rho = 0.9 * SC / DC * beta**2   # below the bound at area 1 only
+        with pytest.raises(ConfigError, match="strong-convexity"):
+            LocalSolveContext(a, np.zeros(2), rho, params)
+
     @pytest.mark.parametrize("single", [False, True], ids=["batch", "single"])
     def test_weak_penalty_rejected_on_every_call(self, params, single):
-        """The public solvers check the penalty themselves; only a caller
-        passing a LocalSolveContext skips the check."""
+        """No local solve runs on a weak penalty: solve_local checks it,
+        and solve_local_batch takes a LocalSolveContext, whose constructor
+        checks it."""
         rho = 0.5 * SC / DC       # above the bound at area 0.1, below it at 1
         p = np.array([[1.0, 0.0], [4.0, 1.0]])
         a = np.array([0.1, 1.0])
@@ -200,7 +212,7 @@ class TestSolveLocal:
             if single:
                 solve_local(p[1], a[1], dm[1], rho, params)
             else:
-                solve_local_batch(p, a, dm, rho, params)
+                solve_local_batch(p, LocalSolveContext(a, dm, rho, params))
 
     def test_subnormal_history_still_loads(self):
         """A subnormal delta_max overflows the secant slope to inf."""
@@ -327,7 +339,7 @@ def test_local_solve_matches_full_evaluation(beta, per_point_rho):
     rho = 100.0 * a.mean() * SC / DC * max(1.0, beta**2)
     if per_point_rho:
         rho = rho * rng.uniform(0.5, 1.5, size=n)
-    got = solve_local_batch(p, a, dm, rho, params)
+    got = solve_local_batch(p, LocalSolveContext(a, dm, rho, params))
     want = full_local_solve(p, a, dm, np.asarray(rho), params)
     assert got.tobytes() == want.tobytes()
     # every branch occurs
@@ -339,13 +351,16 @@ def test_local_solve_matches_full_evaluation(beta, per_point_rho):
 
 
 def test_cohesive_state_irreversible(params):
-    state = CohesiveState.pristine(3)
-    state.commit(np.array([[0.01, 0.0], [0.0, 0.004], [0.0, 0.0]]), params)
-    first = state.delta_max.copy()
+    """commit_history folds openings into the array it is given, in place."""
+    delta_max = np.zeros(3)
+    opened = np.array([[0.01, 0.0], [0.0, 0.004], [0.0, 0.0]])
+    commit_history(delta_max, opened, params)
+    first = delta_max.copy()
     assert np.allclose(first, [0.01, 0.004, 0.0])
-    state.commit(np.array([[0.002, 0.0], [0.0, 0.006], [0.0, 0.0]]), params)
-    assert np.all(state.delta_max >= first)
-    assert np.allclose(state.delta_max, [0.01, 0.006, 0.0])
+    reopened = np.array([[0.002, 0.0], [0.0, 0.006], [0.0, 0.0]])
+    commit_history(delta_max, reopened, params)
+    assert np.all(delta_max >= first)
+    assert np.allclose(delta_max, [0.01, 0.006, 0.0])
 
 
 def test_loading_points(params):

@@ -424,7 +424,7 @@ class TestOutputs:
         params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
         path = tmp_path / "crack_field.csv"
         delta = record.final_state.delta
-        delta_max = record.cohesive_state.delta_max
+        delta_max = record.delta_max
         write_crack_field(path, record.jump, params, delta, delta_max)
         before = path.read_bytes()
 
@@ -469,7 +469,7 @@ class TestOutputs:
         params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
         write_crack_field(
             tmp_path / "final.csv", record.jump, params,
-            record.final_state.delta, record.cohesive_state.delta_max,
+            record.final_state.delta, record.delta_max,
         )
         final = (tmp_path / "final.csv").read_text()
         assert (out / "crack_field.csv").read_text() == final

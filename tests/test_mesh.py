@@ -146,6 +146,13 @@ def test_effective_area_conservation(gauss_per_edge, thickness):
     assert np.allclose(per_edge, bm.interfaces["length"] * thickness, rtol=1e-12)
 
 
+@pytest.mark.parametrize("thickness", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_bad_thickness_rejected(thickness):
+    bm = break_mesh(rect_strip(3.0, 2.0, 3, 2))
+    with pytest.raises(ValueError, match="thickness"):
+        build_jump_operator(bm, 2, thickness)
+
+
 def test_uniform_translation_annihilated(two_triangle_square):
     bm = break_mesh(two_triangle_square)
     jump = build_jump_operator(bm, 2)
