@@ -208,14 +208,18 @@ def factorize_system(
     The penalty term ties the duplicated elements together, so the null
     space of the unconstrained operator is exactly the global rigid
     motions of the structure. Raises SingularSystemError naming how many
-    of them the Dirichlet set leaves free.
+    of them the Dirichlet set leaves free. The DOFs keep the caller's
+    order, which `bc_values` follow by position; a repeated or
+    out-of-range DOF raises ConfigError.
     """
-    dirichlet_dofs = np.unique(np.asarray(dirichlet_dofs, dtype=np.int64))
+    dirichlet_dofs = np.asarray(dirichlet_dofs, dtype=np.int64)
     n_dof = K.shape[0]
     if dirichlet_dofs.size and (
         dirichlet_dofs.min() < 0 or dirichlet_dofs.max() >= n_dof
     ):
         raise ConfigError("Dirichlet DOF index out of range")
+    if np.unique(dirichlet_dofs).size < dirichlet_dofs.size:
+        raise ConfigError("Dirichlet DOFs must not repeat")
 
     basis = _rigid_basis(coords)
     restricted = basis[dirichlet_dofs]

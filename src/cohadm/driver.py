@@ -165,9 +165,11 @@ def _dirichlet_layout(mesh: BrokenMesh, schedule: LoadSchedule):
     sets = mesh.input_mesh.boundary_sets
     if schedule.bc_set not in sets:
         raise ConfigError(f"unknown boundary set {schedule.bc_set!r}")
-    if not sets[schedule.bc_set].size:
-        raise ConfigError(f"boundary set {schedule.bc_set!r} has no nodes")
     driven = mesh.dofs_of(sets[schedule.bc_set], schedule.direction)
+    if not driven.size:
+        raise ConfigError(
+            f"boundary set {schedule.bc_set!r} has no nodes on any triangle"
+        )
     fixed_parts = []
     for name, components in schedule.fixed_sets:
         if name not in sets:
@@ -209,7 +211,8 @@ def run_quasistatic(
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
-    `partial_record`. Raises OperatorMutatedError when K or A changed
+    `partial_record`, with the damage history and the state of the last
+    converged step. Raises OperatorMutatedError when K or A changed
     during the run (the factor would no longer match them).
     """
     mesh = break_mesh(input_mesh)
@@ -239,20 +242,23 @@ def run_quasistatic(
     width = float(extent[axis])
     height = float(extent[1 - axis])
     section = height * material.thickness
+    # the record holds the live damage history and the last converged
+    # state, so a ConvergenceError's partial record has both
+    delta_max = np.zeros(jump.n_points)
     record = RunRecord(
         width=width,
         height=height,
         thickness=material.thickness,
+        delta_max=delta_max,
         jump=jump,
     )
-
-    delta_max = np.zeros(jump.n_points)
     scale = StateScale(
         cohesive, float(np.mean(jump.areas)) if jump.n_points else 1.0
     )
 
     def emit(row: StepRow, state: SolverState) -> None:
         record.rows.append(row)
+        record.final_state = state
         record.dissipation.append(
             dissipated_energy(delta_max, jump.areas, cohesive)
         )
@@ -324,6 +330,4 @@ def run_quasistatic(
 
     if solver.checksum() != matrix_digest:
         raise OperatorMutatedError("system operator changed during the run")
-    record.final_state = z_prev
-    record.delta_max = delta_max
     return record

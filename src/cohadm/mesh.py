@@ -1,11 +1,12 @@
-"""Discontinuous triangle-mesh topology.
+"""Discontinuous triangle-mesh topology and the interface jump operator.
 
 Builds the duplicated-node discretization used by the fracture solver:
 every triangle owns three private copies of its vertices, so elements are
 coupled only through interface terms. Each interior edge of the input mesh
-becomes an interface carrying Gauss points, a unit normal/tangent frame,
-and effective areas. The jump operator maps nodal displacements to opening
-2-vectors (normal, tangential) at every interface Gauss point.
+becomes an interface. The jump operator owns the interface geometry: it
+places two Gauss points on each interface, fixes a unit (normal, tangent)
+frame there in the reference configuration, and maps nodal displacements
+to opening 2-vectors (normal, tangential) at every Gauss point.
 """
 
 from __future__ import annotations
@@ -22,21 +23,9 @@ from .errors import MeshError
 # local edge e of triangle (v0, v1, v2) runs v[e] -> v[(e+1) % 3]
 _EDGE_LOCAL = np.array([[0, 1], [1, 2], [2, 0]])
 
-# One record per interior edge of the input mesh, shared by two triangles.
-# The minus side is the triangle with the lower id; the normal points from
-# the minus side to the plus side and is fixed at the reference
-# configuration. The tangent is the normal rotated by +90 degrees.
-INTERFACE_DTYPE = np.dtype(
-    [
-        ("minus_tri", np.int64),
-        ("minus_edge", np.int64),
-        ("plus_tri", np.int64),
-        ("plus_edge", np.int64),
-        ("normal", np.float64, (2,)),
-        ("tangent", np.float64, (2,)),
-        ("length", np.float64),
-    ]
-)
+# Gauss points per interface edge: two integrate the linear jump fields
+# of 3-node triangles exactly
+GAUSS_PER_EDGE = 2
 
 
 def triangle_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -118,12 +107,18 @@ class InputMesh:
 
 @dataclass
 class BrokenMesh:
-    """Duplicated-node mesh: triangle t owns private nodes 3t, 3t+1, 3t+2."""
+    """Duplicated-node mesh: triangle t owns private nodes 3t, 3t+1, 3t+2.
+
+    `interfaces` is the `interior_edges` table of the input mesh: one row
+    (minus_tri, minus_edge, plus_tri, plus_edge) per interior edge. It is
+    topology only; `build_jump_operator` derives each interface's frame
+    and length from the node coordinates.
+    """
 
     nodes: np.ndarray          # (3m, 2) private node coordinates
     triangles: np.ndarray      # (m, 3) private node indices
     origin_of: np.ndarray      # (3m,) private node -> input node
-    interfaces: np.ndarray     # (E,) INTERFACE_DTYPE records
+    interfaces: np.ndarray     # (E, 4) int rows, see interior_edges
     input_mesh: InputMesh
 
     @property
@@ -154,8 +149,9 @@ def interior_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """(E, 4) rows (minus_tri, minus_edge, plus_tri, plus_edge), one per
     edge shared by two triangles, sorted by (minus_tri, minus_edge).
 
-    The minus side is the lower triangle id. Raises MeshError if any edge
-    is shared by more than two triangles.
+    The minus side is the lower triangle id; an edge index e names the
+    local edge v[e] -> v[(e+1) % 3] of its triangle. Raises MeshError if
+    any edge is shared by more than two triangles.
     """
     ends = triangles[:, _EDGE_LOCAL]                      # (m, 3, 2)
     keys = (ends.min(axis=2) * n_nodes + ends.max(axis=2)).reshape(-1)
@@ -192,9 +188,8 @@ def break_mesh(mesh: InputMesh) -> BrokenMesh:
     """Duplicate nodes per triangle and enumerate interface edges.
 
     Every interior edge of the input mesh (shared by exactly two
-    triangles) yields one INTERFACE_DTYPE record; boundary edges yield
-    none. Orientation is deterministic: the lower triangle id is the
-    minus side and the normal points minus -> plus.
+    triangles) yields one `interior_edges` row; boundary edges yield
+    none. The lower triangle id is the minus side.
 
     Raises
     ------
@@ -205,32 +200,11 @@ def break_mesh(mesh: InputMesh) -> BrokenMesh:
     mesh.validate()
     m = mesh.n_triangles
     flat = mesh.triangles.reshape(-1)
-    nodes = mesh.nodes[flat].copy()
-    triangles = np.arange(3 * m, dtype=np.int64).reshape(m, 3)
-    origin_of = flat.copy()
-
-    minus_tri, minus_edge, plus_tri, plus_edge = interior_edges(
-        mesh.triangles, mesh.n_nodes
-    ).T
-    interfaces = np.zeros(len(minus_tri), dtype=INTERFACE_DTYPE)
-    interfaces["minus_tri"] = minus_tri
-    interfaces["minus_edge"] = minus_edge
-    interfaces["plus_tri"] = plus_tri
-    interfaces["plus_edge"] = plus_edge
-    ends = mesh.triangles[minus_tri[:, None], _EDGE_LOCAL[minus_edge]]   # (E, 2)
-    vec = mesh.nodes[ends[:, 1]] - mesh.nodes[ends[:, 0]]
-    length = np.hypot(vec[:, 0], vec[:, 1])
-    tangent_dir = vec / length[:, None]
-    # outward normal of the CCW minus triangle's edge a -> b
-    normal = np.stack([tangent_dir[:, 1], -tangent_dir[:, 0]], axis=1)
-    interfaces["normal"] = normal
-    interfaces["tangent"] = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
-    interfaces["length"] = length
     return BrokenMesh(
-        nodes=nodes,
-        triangles=triangles,
-        origin_of=origin_of,
-        interfaces=interfaces,
+        nodes=mesh.nodes[flat].copy(),
+        triangles=np.arange(3 * m, dtype=np.int64).reshape(m, 3),
+        origin_of=flat.copy(),
+        interfaces=interior_edges(mesh.triangles, mesh.n_nodes),
         input_mesh=mesh,
     )
 
@@ -273,49 +247,44 @@ class JumpOperator:
         return self.A.shape[1]
 
 
-def build_jump_operator(
-    mesh: BrokenMesh, gauss_per_edge: int = 2, thickness: float = 1.0
-) -> JumpOperator:
+def build_jump_operator(mesh: BrokenMesh, thickness: float = 1.0) -> JumpOperator:
     """Assemble the jump operator and interface quadrature data.
 
     For a nodal field u, row pair i of the result gives the difference
     (plus side minus minus side) of the interpolated displacement at
     Gauss point i, rotated into the (normal, tangent) frame of its edge.
+    Each edge carries GAUSS_PER_EDGE points. Its frame is fixed at the
+    reference configuration: the tangent t = (Q - P) / |Q - P| runs along
+    the minus triangle's edge P -> Q, and the normal (t_y, -t_x) points
+    out of the counterclockwise minus triangle, toward the plus side.
 
     Parameters
     ----------
     mesh : BrokenMesh
-    gauss_per_edge : int
-        Quadrature points per interface edge (>= 1). Two points integrate
-        the linear jump fields of 3-node triangles exactly.
     thickness : float
         Out-of-plane thickness entering the effective areas.
     """
-    if gauss_per_edge < 1:
-        raise ValueError("gauss_per_edge must be >= 1")
     if not 0 < thickness < math.inf:
         raise ValueError("thickness must be positive and finite")
-    edges = mesh.interfaces
-    n_edges = len(edges)
-    n_points = n_edges * gauss_per_edge
-    n_dof = mesh.n_dof
-    s, w = gauss_rule(gauss_per_edge)
-    minus_tri, minus_edge = edges["minus_tri"], edges["minus_edge"]
-    plus_tri, plus_edge = edges["plus_tri"], edges["plus_edge"]
-    normals, tangents, lengths = edges["normal"], edges["tangent"], edges["length"]
+    minus_tri, minus_edge, plus_tri, plus_edge = mesh.interfaces.T
+    n_edges = len(minus_tri)
+    n_points = n_edges * GAUSS_PER_EDGE
+    s, w = gauss_rule(GAUSS_PER_EDGE)
 
-    # private node pairs bounding each side, aligned so that index 0 sits
-    # at the same geometric endpoint on both sides
-    m_nodes = mesh.triangles[minus_tri[:, None], _EDGE_LOCAL[minus_edge]]   # (E, 2)
-    p_nodes = mesh.triangles[plus_tri[:, None], _EDGE_LOCAL[plus_edge]]    # (E, 2)
-    swap = mesh.origin_of[p_nodes[:, 0]] != mesh.origin_of[m_nodes[:, 0]]
-    p_nodes[swap] = p_nodes[swap][:, ::-1]
+    # private node pairs bounding each side, index 0 at the same endpoint:
+    # counterclockwise neighbours run their shared edge in opposite senses
+    m_nodes = mesh.triangles[minus_tri[:, None], _EDGE_LOCAL[minus_edge]]      # (E, 2)
+    p_nodes = mesh.triangles[plus_tri[:, None], _EDGE_LOCAL[plus_edge, ::-1]]  # (E, 2)
     if np.any(mesh.origin_of[p_nodes] != mesh.origin_of[m_nodes]):
         raise MeshError("interface sides do not reference the same segment")
 
     P = mesh.nodes[m_nodes[:, 0]]
     Q = mesh.nodes[m_nodes[:, 1]]
-    points = P[:, None, :] + s[None, :, None] * (Q - P)[:, None, :]  # (E, g, 2)
+    vec = Q - P
+    lengths = np.hypot(vec[:, 0], vec[:, 1])
+    tangents = vec / lengths[:, None]
+    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    points = P[:, None, :] + s[None, :, None] * vec[:, None, :]  # (E, g, 2)
     areas = (w[None, :] * lengths[:, None] * thickness).reshape(-1)
 
     # per Gauss point: 4 contributing nodes with signed shape weights
@@ -325,9 +294,7 @@ def build_jump_operator(
     weights = np.concatenate([shape, shape], axis=1) * signs  # (g, 4)
 
     # rows: (E, g, 2, 4, 2) -> flattened COO triplets
-    gp_index = (
-        np.arange(n_edges)[:, None] * gauss_per_edge + np.arange(gauss_per_edge)
-    )  # (E, g)
+    gp_index = np.arange(n_points).reshape(n_edges, GAUSS_PER_EDGE)  # (E, g)
     frame = np.stack([normals, tangents], axis=1)          # (E, 2, 2)
     data = (
         weights[None, :, None, :, None] * frame[:, None, :, None, :]
@@ -342,7 +309,7 @@ def build_jump_operator(
     )
     A = sp.coo_matrix(
         (data.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-        shape=(2 * n_points, n_dof),
+        shape=(2 * n_points, mesh.n_dof),
     ).tocsr()
 
     return JumpOperator(

@@ -289,7 +289,7 @@ def test_criterion_9_invariant_suite():
         # rigid modes of the jump operator
         mesh = rect_strip(3.0, 2.0, 3, 2)
         broken = break_mesh(mesh)
-        jump = build_jump_operator(broken, 2)
+        jump = build_jump_operator(broken)
         u = np.empty(broken.n_dof)
         u[0::2] = 0.7 - 1.3 * (broken.nodes[:, 1] - 0.5)
         u[1::2] = -0.2 + 1.3 * (broken.nodes[:, 0] - 1.1)
@@ -303,7 +303,7 @@ def test_criterion_9_invariant_suite():
             nodes=mesh.nodes @ R.T, triangles=mesh.triangles.copy(),
             boundary_sets=mesh.boundary_sets,
         )
-        jump_rot = build_jump_operator(break_mesh(rotated), 2)
+        jump_rot = build_jump_operator(break_mesh(rotated))
         v = rng.normal(size=broken.n_dof)
         v_rot = (v.reshape(-1, 2) @ R.T).reshape(-1)
         assert np.abs(jump_rot.A @ v_rot - jump.A @ v).max() <= 1e-10

@@ -39,7 +39,7 @@ def step_context(solver, delta_max):
 def make_solver(mesh, material, params, config, fixed_spec, sink=None):
     """Assemble everything for a mesh and Dirichlet specification."""
     bm = break_mesh(mesh)
-    jump = build_jump_operator(bm, 2, material.thickness)
+    jump = build_jump_operator(bm, material.thickness)
     stiffness = assemble_stiffness(bm, material)
     dofs = [bm.dofs_of(mesh.boundary_sets[name], comps) for name, comps in fixed_spec]
     dirichlet = np.unique(np.concatenate(dofs))
@@ -86,7 +86,7 @@ class TestFactorize:
         self, two_triangle_square, soft_material, params
     ):
         bm = break_mesh(two_triangle_square)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         with pytest.raises(SingularSystemError) as err:
             factorize_system(stiffness, jump.A, 1000.0, np.zeros(0, dtype=int), bm.nodes)
@@ -96,7 +96,7 @@ class TestFactorize:
         self, two_triangle_square, soft_material, params
     ):
         bm = break_mesh(two_triangle_square)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         pinned = bm.dofs_of([0], "xy")
         with pytest.raises(SingularSystemError) as err:
@@ -110,7 +110,7 @@ class TestFactorize:
         # the strip has enough elements that fill and ordering matter
         mesh = rect_strip(4.0, 2.0, 6, 4) if strip else two_triangle_square
         bm = break_mesh(mesh)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         rho = 500.0
         dirichlet = bm.dofs_of(mesh.boundary_sets["left"], "xy")
@@ -130,10 +130,19 @@ class TestFactorize:
 
     def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
         bm = break_mesh(two_triangle_square)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         dirichlet = np.append(bm.dofs_of([0], "xy"), bm.n_dof)
         with pytest.raises(ConfigError, match="out of range"):
+            factorize_system(stiffness, jump.A, 1000.0, dirichlet, bm.nodes)
+
+    def test_repeated_dirichlet_dof_rejected(self, two_triangle_square, soft_material):
+        bm = break_mesh(two_triangle_square)
+        jump = build_jump_operator(bm)
+        stiffness = assemble_stiffness(bm, soft_material)
+        dofs = bm.dofs_of([0, 1], "xy")
+        dirichlet = np.append(dofs, dofs[0])
+        with pytest.raises(ConfigError, match="repeat"):
             factorize_system(stiffness, jump.A, 1000.0, dirichlet, bm.nodes)
 
     def test_checksum_stable(self, two_triangle_square, soft_material, params):
@@ -407,6 +416,24 @@ class TestRunStep:
         tol = 10 * solver.config.c_primal * jump.areas.mean() / solver.rho
         assert np.abs(result.state.u - u_mapped).max() <= tol
 
+    def test_dirichlet_order_follows_the_values(self, soft_material, params):
+        """bc_values are matched to the Dirichlet DOFs by position, in the
+        order the caller gives them."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        bc = self.bc_values(dirichlet, right, 1e-4)
+        given = solver.run_step(solver.initial_state(), bc, np.zeros(jump.n_points))
+        reversed_solver = AdmmSolver(
+            stiffness, jump, params, solver.config, dirichlet[::-1], bm.nodes,
+        )
+        got = reversed_solver.run_step(
+            reversed_solver.initial_state(), bc[::-1], np.zeros(jump.n_points)
+        )
+        assert np.abs(got.state.u - given.state.u).max() <= 1e-12 * 1e-4
+        driven = bm.dofs_of(mesh.boundary_sets["right"], "x")
+        assert np.all(got.state.u[driven] == 1e-4)
+
     def test_closed_points_respect_activation_bound(self, soft_material, params):
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
@@ -641,7 +668,7 @@ class TestRunStep:
 
     def test_reaction_rejects_empty_set(self, soft_material, params, two_triangle_square):
         bm = break_mesh(two_triangle_square)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         state = SolverState.zeros(bm.n_dof, jump.n_points)
         with pytest.raises(ValueError, match="empty"):
@@ -649,7 +676,7 @@ class TestRunStep:
 
     def test_zero_state_zero_reaction(self, soft_material, params, two_triangle_square):
         bm = break_mesh(two_triangle_square)
-        jump = build_jump_operator(bm, 2)
+        jump = build_jump_operator(bm)
         stiffness = assemble_stiffness(bm, soft_material)
         state = SolverState.zeros(bm.n_dof, jump.n_points)
         f = reaction_force(stiffness, jump, 1.0, state, bm.private_nodes_of([1, 2]))
@@ -660,7 +687,7 @@ def test_gauss_point_permutation_invariance(soft_material, params):
     """Permuting interface point order leaves the converged step unchanged."""
     mesh = rect_strip(4.0, 2.0, 4, 2)
     bm = break_mesh(mesh)
-    jump = build_jump_operator(bm, 2, soft_material.thickness)
+    jump = build_jump_operator(bm, soft_material.thickness)
     stiffness = assemble_stiffness(bm, soft_material)
     cfg = AdmmConfig(alpha=100.0)
     dirichlet = np.unique(np.concatenate([

@@ -144,6 +144,22 @@ def test_run_non_finite_tolerance_exits_one(strip_inputs, tmp_path, capsys):
     assert "admm.c_primal: must be finite" in err
 
 
+def test_run_orphan_driven_set_exits_one(strip_inputs, tmp_path, capsys):
+    """A driven set whose only node belongs to no triangle is a config error."""
+    _, config_path = strip_inputs
+    mesh = rect_strip(10.0, 5.0, 6, 4)
+    mesh.nodes = np.vstack([mesh.nodes, [10.0, 2.5]])
+    mesh.boundary_sets["right"] = np.array([mesh.n_nodes - 1])
+    mesh_path = tmp_path / "orphan.mesh"
+    write_mesh(mesh, mesh_path)
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "orphan")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "boundary set 'right' has no nodes on any triangle" in err
+
+
 def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
     mesh_path, config_path = strip_inputs
     text = config_path.read_text().replace("c_primal: 0.01", "c_primal: 1.0e-9")

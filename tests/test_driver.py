@@ -3,7 +3,7 @@ import pytest
 
 from cohadm import admm
 from cohadm.admm import AdmmConfig, SolverState
-from cohadm.cohesive import CohesiveParams
+from cohadm.cohesive import CohesiveParams, commit_history, dissipated_energy
 from cohadm.driver import (
     ExtrapolationPolicy,
     LoadSchedule,
@@ -265,7 +265,8 @@ class TestFractureRun:
     def test_nonconvergence_keeps_the_converged_steps(self, fracture_record):
         """A cap that the pre-activation steps meet and the snap step does
         not: the error's partial record holds the step-0 row and the k - 1
-        converged steps before the failing step k."""
+        converged steps before the failing step k, with the damage history
+        and the state of step k - 1."""
         cap = 100
         k = next(r.step for r in fracture_record.rows if r.iterations > cap)
         assert k > 1
@@ -278,6 +279,15 @@ class TestFractureRun:
             r.iterations for r in fracture_record.rows[:k]
         ]
         assert record.dissipation == fracture_record.dissipation[:k]
+        params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=1.0)
+        assert dissipated_energy(
+            record.delta_max, record.jump.areas, params
+        ) == record.dissipation[-1]
+        assert record.final_state is not None
+        # the history already holds the last converged openings
+        committed = record.delta_max.copy()
+        commit_history(committed, record.final_state.delta, params)
+        assert np.array_equal(committed, record.delta_max)
 
     def test_relaxation_keeps_curve_and_saves_iterations(self, monkeypatch):
         """The over-relaxed map reaches the plain map's curve in fewer iterations.
@@ -379,10 +389,18 @@ def test_operator_mutation_raises(soft_material, params, matrix):
 
 
 def test_empty_driven_set_rejected(soft_material, params):
-    mesh = rect_strip(4.0, 2.0, 4, 2)
-    mesh.boundary_sets["right"] = np.zeros(0, dtype=np.int64)
-    with pytest.raises(ConfigError, match="boundary set 'right' has no nodes"):
-        run_quasistatic(
-            mesh, soft_material, params, small_strip_schedule(0.001, 2),
-            AdmmConfig(),
-        )
+    """A driven set with no node on any triangle fails before step 1: an
+    empty set, and a set whose one node no triangle references."""
+    empty = rect_strip(4.0, 2.0, 4, 2)
+    empty.boundary_sets["right"] = np.zeros(0, dtype=np.int64)
+    orphan = rect_strip(4.0, 2.0, 4, 2)
+    orphan.nodes = np.vstack([orphan.nodes, [4.0, 0.5]])
+    orphan.boundary_sets["right"] = np.array([orphan.n_nodes - 1])
+    for mesh in (empty, orphan):
+        with pytest.raises(
+            ConfigError, match="boundary set 'right' has no nodes on any triangle"
+        ):
+            run_quasistatic(
+                mesh, soft_material, params, small_strip_schedule(0.001, 2),
+                AdmmConfig(),
+            )

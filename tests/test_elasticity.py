@@ -131,13 +131,13 @@ def test_degenerate_triangle_rejected(soft_material):
         triangles=np.array([[0, 1, 2]]),
     )
     bm_nodes = mesh.nodes[mesh.triangles.reshape(-1)]
-    from cohadm.mesh import INTERFACE_DTYPE, BrokenMesh
+    from cohadm.mesh import BrokenMesh
 
     bm = BrokenMesh(
         nodes=bm_nodes,
         triangles=np.arange(3).reshape(1, 3),
         origin_of=mesh.triangles.reshape(-1),
-        interfaces=np.zeros(0, dtype=INTERFACE_DTYPE),
+        interfaces=np.zeros((0, 4), dtype=np.int64),
         input_mesh=mesh,
     )
     with pytest.raises(AssemblyError, match="degenerate"):

@@ -141,8 +141,33 @@ class TestMeshParsing:
 
     def test_bad_count_rejected(self, tmp_path):
         path = tmp_path / "count.mesh"
-        path.write_text("$Nodes\nfour\n")
-        with pytest.raises(MeshParseError, match="count"):
+        for text, message in [
+            ("$Nodes\nfour\n", "bad node count 'four'"),
+            ("$Nodes\n", "missing node count"),
+            ("$Nodes\n-1\n", "negative node count"),
+            (TWO_TRI.replace("$Triangles\n2\n", "$Triangles\n-2\n"),
+             "negative triangle count"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(MeshParseError, match=message):
+                parse_mesh(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("3 1.0 1.0", "3 one 1.0", "bad node row"),
+         ("2 1 3 4", "2 1 3 four", "bad triangle row")],
+        ids=["node", "triangle"],
+    )
+    def test_non_numeric_row_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "row.mesh"
+        path.write_text(TWO_TRI.replace(old, new))
+        with pytest.raises(MeshParseError, match=message):
+            parse_mesh(path)
+
+    def test_duplicate_node_set_rejected(self, tmp_path):
+        path = tmp_path / "sets.mesh"
+        path.write_text(TWO_TRI + "\nleft 2\n")
+        with pytest.raises(MeshParseError, match="duplicate node set 'left'"):
             parse_mesh(path)
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
@@ -210,6 +235,14 @@ class TestConfigParsing:
         assert cfg.policy.enabled is True
         assert cfg.output.directory == "out"
 
+    def test_integer_for_float_key_reads_as_float(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            CONFIG.replace("youngs_modulus: 3000.0", "youngs_modulus: 3000")
+        )
+        value = parse_config(path).material.youngs_modulus
+        assert type(value) is float and value == 3000.0
+
     def test_required_keys_only_take_dataclass_defaults(self, tmp_path):
         """Every key left out reads as its dataclass field's default."""
         path = tmp_path / "c.yaml"
@@ -262,11 +295,15 @@ class TestConfigParsing:
             parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        text = CONFIG.replace("beta: 1.0", "beta: 1.0\n  gamma: 2.0")
         path = tmp_path / "c.yaml"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="cohesive.gamma"):
-            parse_config(path)
+        for text, message in [
+            (CONFIG.replace("beta: 1.0", "beta: 1.0\n  gamma: 2.0"),
+             "^cohesive.gamma: unknown key$"),
+            (CONFIG + "solver: {}\n", "^solver: unknown section$"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                parse_config(path)
 
     def test_invalid_value_names_section(self, tmp_path):
         text = CONFIG.replace("youngs_modulus: 3000.0", "youngs_modulus: -3.0")
@@ -297,6 +334,21 @@ class TestConfigParsing:
         path = tmp_path / "c.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError, match=f"{section}: must be a mapping"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (CONFIG.replace("- {set: pin, components: y}", "- pin"),
+             r"^schedule.fixed\[1\]: must be a mapping$"),
+            ("- material\n- cohesive\n", "top level must be a mapping$"),
+        ],
+        ids=["fixed_entry", "top_level"],
+    )
+    def test_non_mapping_rejected(self, tmp_path, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
             parse_config(path)
 
     @pytest.mark.parametrize(
