@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,10 @@ class AdmmConfig:
             raise ConfigError("alpha must be finite")
         if not (0 < self.c_primal < math.inf and 0 < self.c_dual < math.inf):
             raise ConfigError("tolerances must be positive and finite")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        # bool counts as an int in Python; numpy integers are Integral
+        v = self.max_iters
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ConfigError("max_iters must be an integer of at least 1")
 
     def penalty(self, areas: np.ndarray, params: CohesiveParams) -> float:
         """rho = alpha * mean(a_i) * sigma_c / delta_c (0 if no interfaces)."""

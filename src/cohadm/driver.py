@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -50,8 +51,10 @@ class LoadSchedule:
         for name in ("u_start", "u_end"):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
+        # bool counts as an int in Python; numpy integers are Integral
+        v = self.n_steps
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ConfigError("n_steps must be an integer of at least 1")
         for entry in self.fixed_sets:
             if len(entry) != 2 or entry[1] not in ("x", "y", "xy"):
                 raise ConfigError(

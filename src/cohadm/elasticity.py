@@ -58,6 +58,9 @@ class Material:
 def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     """Strain-displacement matrices and areas for all CST elements.
 
+    Raises AssemblyError for a degenerate (non-positive area) element,
+    before anything is divided by the area.
+
     Returns
     -------
     B : (m, 3, 6) array
@@ -65,11 +68,15 @@ def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
         eps = (eps_xx, eps_yy, gamma_xy).
     area : (m,) array
     """
+    area = triangle_signed_areas(nodes, triangles)
+    scale = max(np.abs(nodes).max(initial=0.0), 1.0)
+    if np.any(area <= 1e-14 * scale**2):
+        bad = int(np.argmin(area))
+        raise AssemblyError(f"degenerate triangle {bad} (area {area[bad]:g})")
     p = nodes[triangles]                      # (m, 3, 2)
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = triangle_signed_areas(nodes, triangles)
     m = len(triangles)
     B = np.zeros((m, 3, 6))
     B[:, 0, 0::2] = b
@@ -88,11 +95,6 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
     constant-strain triangles. Raises AssemblyError for degenerate
     (non-positive area) elements.
     """
-    area = triangle_signed_areas(mesh.nodes, mesh.triangles)
-    scale = max(np.abs(mesh.nodes).max(initial=0.0), 1.0)
-    if np.any(area <= 1e-14 * scale**2):
-        bad = int(np.argmin(area))
-        raise AssemblyError(f"degenerate triangle {bad} (area {area[bad]:g})")
     B, area = element_b_matrices(mesh.nodes, mesh.triangles)
     D = mat.d_matrix()
     ke = np.einsum("eji,jk,ekl->eil", B, D, B) * (area * mat.thickness)[:, None, None]

@@ -42,10 +42,11 @@ def _clean_lines(path):
 
 
 def parse_mesh(path) -> InputMesh:
-    """Parse a mesh file and validate the result.
+    """Parse a mesh file into an InputMesh, which checks itself when built.
 
-    Clockwise triangles are re-oriented with a logged warning; structural
-    problems raise MeshParseError with the offending line.
+    Clockwise triangles are re-oriented with a logged warning first. Every
+    failure raises MeshParseError with the offending line; a failed mesh
+    check names the file's last line.
     """
     lines = list(_clean_lines(path))
     pos = 0
@@ -167,7 +168,7 @@ def parse_mesh(path) -> InputMesh:
                 raise MeshParseError(path, lineno, f"bad node id in {text!r}") from None
         close_set()
 
-    # re-orient clockwise triangles before invariant validation
+    # re-orient clockwise triangles before the mesh checks its invariants
     if n_tris:
         areas = triangle_signed_areas(nodes, tris)
         flipped = areas < 0
@@ -176,16 +177,21 @@ def parse_mesh(path) -> InputMesh:
             log.warning(
                 "%s: re-oriented %d clockwise triangle(s)", path, int(flipped.sum())
             )
-    mesh = InputMesh(nodes=nodes, triangles=tris, boundary_sets=sets)
     try:
-        mesh.validate()
+        return InputMesh(nodes=nodes, triangles=tris, boundary_sets=sets)
     except MeshError as exc:
         raise MeshParseError(path, n_lines, str(exc)) from exc
-    return mesh
 
 
 def write_mesh(mesh: InputMesh, path) -> None:
-    """Write a mesh file; coordinates round-trip bit-exactly via repr."""
+    """Write a mesh file; coordinates round-trip bit-exactly via repr.
+
+    Raises ValueError for a boundary-set name that would not read back:
+    one that is empty, holds whitespace or holds the comment mark `#`.
+    """
+    for name in mesh.boundary_sets:
+        if "#" in name or name.split() != [name]:
+            raise ValueError(f"boundary set name {name!r} cannot be written")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("$Nodes\n")
         fh.write(f"{mesh.n_nodes}\n")

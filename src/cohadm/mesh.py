@@ -43,6 +43,9 @@ def triangle_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarra
 class InputMesh:
     """Conforming triangulation as read from a mesh file.
 
+    Construction raises MeshError on the first invariant that fails, so
+    every InputMesh is valid; its arrays are not changed afterwards.
+
     Attributes
     ----------
     nodes : (n, 2) float array
@@ -52,11 +55,14 @@ class InputMesh:
     boundary_sets : dict
         Named node-index sets used for boundary conditions and reaction
         measurement.
+    interfaces : (E, 4) int array
+        The `interior_edges` table, built once by the connectivity check.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_sets: dict[str, np.ndarray] = field(default_factory=dict)
+    interfaces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -65,17 +71,6 @@ class InputMesh:
             name: np.asarray(ids, dtype=np.int64)
             for name, ids in self.boundary_sets.items()
         }
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-    def validate(self) -> None:
-        """Check all structural invariants, raising MeshError on failure."""
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError("nodes must be an (n, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -100,19 +95,29 @@ class InputMesh:
         for name, ids in self.boundary_sets.items():
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise MeshError(f"boundary set '{name}' references a node out of range")
-        # builds the edge table, which raises on non-manifold edges
-        if edge_components(self.triangles, n)[0] > 1:
+        # raises on non-manifold edges
+        self.interfaces = interior_edges(self.triangles, n)
+        if edge_components(self.interfaces, self.n_triangles)[0] > 1:
             raise MeshError("mesh is not edge-connected")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def n_triangles(self) -> int:
+        return len(self.triangles)
 
 
 @dataclass
 class BrokenMesh:
     """Duplicated-node mesh: triangle t owns private nodes 3t, 3t+1, 3t+2.
 
-    `interfaces` is the `interior_edges` table of the input mesh: one row
-    (minus_tri, minus_edge, plus_tri, plus_edge) per interior edge. It is
-    topology only; `build_jump_operator` derives each interface's frame
-    and length from the node coordinates.
+    `interfaces` is the input mesh's own `interior_edges` table (the same
+    array, not a copy): one row (minus_tri, minus_edge, plus_tri,
+    plus_edge) per interior edge. It is topology only;
+    `build_jump_operator` derives each interface's frame and length from
+    the node coordinates.
     """
 
     nodes: np.ndarray          # (3m, 2) private node coordinates
@@ -171,40 +176,34 @@ def interior_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.stack([minus // 3, minus % 3, plus // 3, plus % 3], axis=1)
 
 
-def edge_components(triangles: np.ndarray, n_nodes: int) -> tuple[int, np.ndarray]:
+def edge_components(edges: np.ndarray, n_triangles: int) -> tuple[int, np.ndarray]:
     """Count and per-triangle labels of the edge-connected blocks.
 
+    `edges` is an `interior_edges` table of the `n_triangles` triangles.
     Labels are numbered in order of each block's lowest triangle id.
     """
-    pairs = interior_edges(triangles, n_nodes)
-    m = len(triangles)
     adjacency = sp.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 2])), shape=(m, m)
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 2])),
+        shape=(n_triangles, n_triangles),
     )
     return connected_components(adjacency, directed=False)
 
 
 def break_mesh(mesh: InputMesh) -> BrokenMesh:
-    """Duplicate nodes per triangle and enumerate interface edges.
+    """Duplicate nodes per triangle; the interfaces are the input mesh's.
 
     Every interior edge of the input mesh (shared by exactly two
-    triangles) yields one `interior_edges` row; boundary edges yield
-    none. The lower triangle id is the minus side.
-
-    Raises
-    ------
-    MeshError
-        If the input mesh violates its invariants or has a non-manifold
-        edge.
+    triangles) is one interface, the lower triangle id its minus side;
+    boundary edges yield none. The mesh was checked when it was built,
+    so nothing is checked or sorted again here.
     """
-    mesh.validate()
     m = mesh.n_triangles
     flat = mesh.triangles.reshape(-1)
     return BrokenMesh(
         nodes=mesh.nodes[flat].copy(),
         triangles=np.arange(3 * m, dtype=np.int64).reshape(m, 3),
         origin_of=flat.copy(),
-        interfaces=interior_edges(mesh.triangles, mesh.n_nodes),
+        interfaces=mesh.interfaces,
         input_mesh=mesh,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import InputMesh, edge_components
+from .mesh import InputMesh, edge_components, interior_edges
 
 
 def rect_strip(
@@ -74,7 +74,10 @@ def two_triangle_diamond(span: float = 2.0) -> InputMesh:
 
 
 def _sample_pores(rng, width, height, n_pores, r_lo, r_hi, margin, min_gap):
-    """Rejection-sample non-overlapping pore centers and radii."""
+    """Rejection-sample non-overlapping pore centers and radii.
+
+    Raises ValueError if fewer than n_pores fit within 20,000 attempts.
+    """
     centers = []
     radii = []
     attempts = 0
@@ -94,12 +97,18 @@ def _sample_pores(rng, width, height, n_pores, r_lo, r_hi, margin, min_gap):
         if ok:
             centers.append(c)
             radii.append(r)
+    if len(centers) < n_pores:
+        raise ValueError(
+            f"placed only {len(centers)} of {n_pores} pores in {attempts} "
+            "attempts; use fewer or smaller pores, or a larger plate"
+        )
     return np.array(centers), np.array(radii)
 
 
 def _largest_edge_component(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """Mask of the largest edge-connected block of triangles."""
-    _, label = edge_components(triangles, n_nodes)
+    edges = interior_edges(triangles, n_nodes)
+    _, label = edge_components(edges, len(triangles))
     return label == np.argmax(np.bincount(label))
 
 
@@ -119,6 +128,7 @@ def porous_plate(
     Triangles whose centroid falls inside a pore are removed and the
     largest edge-connected component is kept, so the result always
     satisfies the mesh invariants. Deterministic for a given seed.
+    Raises ValueError if not all n_pores pores fit on the plate.
     """
     base = rect_strip(width, height, nx, ny)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import re
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -66,17 +67,49 @@ def test_run_missing_mesh_exits_one(strip_inputs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io:")
 
 
-def test_make_inputs_script(tmp_path, capsys, monkeypatch):
-    """The walkthrough's input generator writes files the CLI accepts."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def walkthrough_inputs(tmp_path, capsys, monkeypatch):
+    """Run scripts/make_inputs.py into tmp_path."""
+    script = SCRIPTS / "make_inputs.py"
     monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
     runpy.run_path(str(script), run_name="__main__")
     capsys.readouterr()
-    assert main(["info", "--mesh", str(tmp_path / "strip.mesh")]) == 0
+    return tmp_path
+
+
+def test_make_inputs_script(walkthrough_inputs, capsys):
+    """The walkthrough's input generator writes files the CLI accepts."""
+    assert main(["info", "--mesh", str(walkthrough_inputs / "strip.mesh")]) == 0
     assert "strip.mesh: 200 elements," in capsys.readouterr().out
-    assert main(["info", "--mesh", str(tmp_path / "porous.mesh")]) == 0
+    assert main(["info", "--mesh", str(walkthrough_inputs / "porous.mesh")]) == 0
     for name in ("strip.yaml", "porous.yaml"):
-        parse_config(tmp_path / name)
+        parse_config(walkthrough_inputs / name)
+
+
+def test_same_outputs_script(walkthrough_inputs, capsys):
+    """Two runs of the walkthrough strip match; a changed cell does not."""
+    same_outputs = runpy.run_path(str(SCRIPTS / "same_outputs.py"))["main"]
+    mesh, config = walkthrough_inputs / "strip.mesh", walkthrough_inputs / "strip.yaml"
+    runs = [walkthrough_inputs / name for name in ("a", "b", "changed")]
+    for out in runs[:2]:
+        assert main(["run", "--mesh", str(mesh), "--config", str(config),
+                     "--out", str(out)]) == 0
+    assert same_outputs([str(runs[0]), str(runs[1])]) == 0
+
+    shutil.copytree(runs[0], runs[2])
+    table = runs[2] / "stress_strain.csv"
+    lines = table.read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    assert cells[2] != "0"
+    cells[2] = "0"   # the reaction force of step 4
+    lines[5] = ",".join(cells)
+    table.write_text("".join(lines))
+    capsys.readouterr()
+    assert same_outputs([str(runs[0]), str(runs[2])]) == 1
+    assert capsys.readouterr().out.startswith("stress_strain.csv:6: ")
 
 
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):

@@ -153,6 +153,25 @@ def test_non_finite_setting_rejected(build, error, value):
         build(value)
 
 
+COUNT_SETTINGS = {
+    "max_iters": lambda v: AdmmConfig(max_iters=v),
+    "n_steps": lambda v: LoadSchedule(bc_set="right", direction="x",
+                                      u_end=1e-3, n_steps=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5, True])
+@pytest.mark.parametrize("name", sorted(COUNT_SETTINGS))
+def test_non_integer_count_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        COUNT_SETTINGS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_SETTINGS))
+def test_numpy_integer_count_accepted(name):
+    assert getattr(COUNT_SETTINGS[name](np.int64(3)), name) == 3
+
+
 class TestElasticRun:
     def test_slope_matches_conforming_modulus(self, soft_material):
         """With activation unreachable the response is exactly linear."""

@@ -22,6 +22,7 @@ from cohadm.fileio import (
     write_crack_field,
     write_mesh,
 )
+from cohadm.mesh import InputMesh
 from cohadm.meshgen import rect_strip
 
 TWO_TRI = """\
@@ -118,7 +119,7 @@ class TestMeshParsing:
         with caplog.at_level(logging.WARNING):
             mesh = parse_mesh(path)
         assert "re-oriented 1 clockwise" in caplog.text
-        mesh.validate()   # invariants hold after the fix
+        assert mesh.triangles[0].tolist() == [0, 1, 2]
 
     def test_duplicate_id_rejected(self, tmp_path):
         bad = TWO_TRI.replace("2 1.0 0.0", "1 1.0 0.0")
@@ -199,6 +200,18 @@ class TestMeshParsing:
         assert np.array_equal(back.triangles, mesh.triangles)
         for name in mesh.boundary_sets:
             assert np.array_equal(back.boundary_sets[name], mesh.boundary_sets[name])
+
+    @pytest.mark.parametrize("name", ["a#b", "two words", ""])
+    def test_unreadable_set_name_refused(self, tmp_path, name):
+        """'a#b' would read back as an empty set 'a'; 'two words' would
+        not parse at all."""
+        strip = rect_strip(1.0, 1.0, 1, 1)
+        mesh = InputMesh(nodes=strip.nodes, triangles=strip.triangles,
+                         boundary_sets={name: [0, 3]})
+        path = tmp_path / "names.mesh"
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_mesh(mesh, path)
+        assert not path.exists()
 
     @given(text=st.text(max_size=300))
     @settings(max_examples=150, deadline=None)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohadm import mesh as mesh_module
+from cohadm.admm import AdmmConfig
+from cohadm.cli import main
+from cohadm.driver import LoadSchedule, run_quasistatic
 from cohadm.errors import MeshError
+from cohadm.fileio import parse_mesh, write_mesh
 from cohadm.mesh import (
     GAUSS_PER_EDGE,
     InputMesh,
@@ -103,44 +108,92 @@ def test_interior_edges_match_loop_reference(relabel):
     assert got.tolist() == [list(r) for r in brute_force_interior_edges(triangles)]
 
 
+def count_calls(monkeypatch, names):
+    """Count calls of the named `cohadm.mesh` globals from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(mesh_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mesh_module, name, counting)
+    return calls
+
+
+EDGE_WORK = ("interior_edges", "connected_components")
+ONCE_EACH = dict.fromkeys(EDGE_WORK, 1)
+
+
+def test_run_builds_the_edge_table_once(tmp_path, monkeypatch, soft_material, params):
+    """parse_mesh through set-up checks the mesh and sorts its edges once."""
+    path = tmp_path / "strip.mesh"
+    write_mesh(rect_strip(4.0, 2.0, 4, 2), path)
+    calls = count_calls(monkeypatch, EDGE_WORK)
+    at_setup = {}
+    schedule = LoadSchedule(bc_set="right", direction="x", u_end=1e-4, n_steps=1,
+                            fixed_sets=(("left", "x"), ("pin", "y")))
+    run_quasistatic(parse_mesh(path), soft_material, params, schedule, AdmmConfig(),
+                    setup_sink=lambda *_: at_setup.update(calls))
+    assert at_setup == ONCE_EACH
+
+
+def test_info_builds_the_edge_table_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "strip.mesh"
+    write_mesh(rect_strip(4.0, 2.0, 4, 2), path)
+    calls = count_calls(monkeypatch, EDGE_WORK)
+    assert main(["info", "--mesh", str(path)]) == 0
+    assert calls == ONCE_EACH
+
+
+def test_broken_mesh_shares_the_edge_table():
+    mesh = rect_strip(4.0, 2.0, 4, 2)
+    assert break_mesh(mesh).interfaces is mesh.interfaces
+
+
+def test_porous_plate_refuses_too_few_pores():
+    with pytest.raises(ValueError, match="placed only 1 of 20 pores"):
+        porous_plate(width=10.0, height=10.0, nx=4, ny=4, n_pores=20,
+                     pore_radius=(2.0, 3.0), min_gap=1.0, margin=1.0, seed=0)
+
+
 def test_non_manifold_edge_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])  # edge (0,1) used 3 times
     with pytest.raises(MeshError, match="non-manifold"):
-        break_mesh(InputMesh(nodes=nodes, triangles=tris))
+        InputMesh(nodes=nodes, triangles=tris)
 
 
 def test_out_of_range_index_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cases = [
-        (InputMesh(nodes=nodes, triangles=np.array([[0, 1, 9]])),
+        (dict(triangles=np.array([[0, 1, 9]])),
          "triangle 0 references a node out of range"),
-        (InputMesh(nodes=nodes, triangles=np.array([[0, 1, 2]]),
-                   boundary_sets={"right": np.array([1, 3])}),
+        (dict(triangles=np.array([[0, 1, 2]]),
+              boundary_sets={"right": np.array([1, 3])}),
          "boundary set 'right' references a node out of range"),
     ]
-    for mesh, message in cases:
+    for fields, message in cases:
         with pytest.raises(MeshError, match=message):
-            mesh.validate()
+            InputMesh(nodes=nodes, **fields)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_coordinate_rejected(value):
-    mesh = InputMesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, value]]),
-        triangles=np.array([[0, 1, 2]]),
-    )
     with pytest.raises(MeshError, match="node 2 has a non-finite coordinate"):
-        mesh.validate()
+        InputMesh(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, value]]),
+            triangles=np.array([[0, 1, 2]]),
+        )
 
 
 def test_clockwise_triangle_rejected():
-    mesh = InputMesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 2, 1]]),
-    )
     with pytest.raises(MeshError, match="signed area"):
-        mesh.validate()
+        InputMesh(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            triangles=np.array([[0, 2, 1]]),
+        )
 
 
 def test_disconnected_mesh_rejected():
@@ -149,7 +202,7 @@ def test_disconnected_mesh_rejected():
     )
     tris = np.array([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(MeshError, match="edge-connected"):
-        InputMesh(nodes=nodes, triangles=tris).validate()
+        InputMesh(nodes=nodes, triangles=tris)
 
 
 def test_interface_orientation_deterministic(two_triangle_square):
