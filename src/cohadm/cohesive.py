@@ -312,9 +312,6 @@ def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
     # every point not proven closed, NaN drives included
     i = np.flatnonzero(~(pn_pos + np.abs(ps) <= local.sure_closed))
     if len(i):
-        def take(v):          # rho may be one value for every point
-            return v[i] if np.ndim(v) else v
-
         a_sc = local.a_sc[i]
         drive = np.hypot(pn_pos[i], ps[i])
         closed = local.pristine[i] & (drive <= a_sc)
@@ -325,8 +322,8 @@ def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
             local.damaged[i] & unloads,
             d_unload,
             np.where(
-                drive >= take(local.rho_dc),
-                drive / take(local.rho),
+                drive >= _rows(local.rho_dc, i),
+                drive / _rows(local.rho, i),
                 np.clip(
                     (drive - a_sc) / local.softening[i],
                     0.0, local.params.delta_c,
@@ -340,35 +337,51 @@ def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
     return np.stack([pn_pos * scale, ps * scale], axis=1)
 
 
+def _rows(v, i):
+    """v at the points i; a penalty may be one value for every point."""
+    return v[i] if np.ndim(v) else v
+
+
 def _solve_mixed(local: LocalSolveContext, p, pn_pos, ps, closed):
-    """Lowest of three branch candidates, for beta != 1."""
-    a, dm, rho, params = local.a, local.delta_max, local.rho, local.params
+    """Lowest of three branch candidates, for beta != 1.
+
+    Only the points not in the mask `closed` are solved; the closed ones
+    keep a zero opening. Every operation is elementwise or a per-point
+    argmin, so each solved point takes the same operations as when all
+    points are solved.
+    """
+    delta = np.zeros((len(ps), 2))
+    i = np.flatnonzero(~closed)
+    if not len(i):
+        return delta
+    params = local.params
     dc, beta = params.delta_c, params.beta
+    a, dm, a_sc = local.a[i], local.delta_max[i], local.a_sc[i]
+    rho, p, pn_pos, ps = _rows(local.rho, i), p[i], pn_pos[i], ps[i]
 
     # --- candidate 1: unloading secant (only meaningful for dm > 0) ------
     with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.stack([pn_pos / local.secant, ps / local.secant_s], axis=1)
+        du = np.stack([pn_pos / local.secant[i], ps / local.secant_s[i]], axis=1)
     du = np.where(np.isfinite(du), du, 0.0)
 
     # --- candidate 2: fully failed (flat potential) ----------------------
     df = np.stack([pn_pos / rho, ps / rho], axis=1)
 
     # --- candidate 3: loading wedge stationary point ---------------------
-    d_load = _loading_root(pn_pos, ps, local.a_sc, local.lo, local.hi, rho, params)
-    q = local.a_sc * (1.0 / d_load - 1.0 / dc)
+    d_load = _loading_root(pn_pos, ps, a_sc, local.lo[i], local.hi[i], rho, params)
+    q = a_sc * (1.0 / d_load - 1.0 / dc)
     dl = np.stack([pn_pos / (rho + q), ps / (rho + beta * beta * q)], axis=1)
 
     # --- pick the lowest objective ---------------------------------------
     fu = np.where(
-        local.damaged, local_objective(du, p, a, dm, rho, params), np.inf
+        local.damaged[i], local_objective(du, p, a, dm, rho, params), np.inf
     )
     ff = local_objective(df, p, a, dm, rho, params)
     fl = local_objective(dl, p, a, dm, rho, params)
     best = np.argmin(np.stack([fu, ff, fl], axis=0), axis=0)
-    delta = np.where(
+    delta[i] = np.where(
         (best == 0)[:, None], du, np.where((best == 1)[:, None], df, dl)
     )
-    delta[closed] = 0.0
     return delta
 
 

@@ -4,8 +4,12 @@ Each load step prescribes an increment of boundary displacement and
 re-minimizes the energy from a warm start. The warm start is either the
 previous converged state or, when the previous linear prediction proved
 accurate enough, the extrapolation 2 z_k - z_{k-1}, which is feasible
-because the constraint is linear. Records an average stress / average
-strain row per step and supports crash-safe incremental sinks.
+because the constraint is linear. The step after one that activated a
+Gauss point runs at the lower penalty scale min(alpha, ACTIVATION_ALPHA)
+from a second factor, built when first needed; the best penalty follows
+the crack's phase, which is the simplest form of residual balancing
+(Boyd et al., FnT ML 2011, section 3.4.1). Records an average stress /
+average strain row per step and supports crash-safe incremental sinks.
 """
 
 from __future__ import annotations
@@ -14,12 +18,17 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmSolver, SolverState
-from .cohesive import CohesiveParams, commit_history, dissipated_energy
+from .admm import ACTIVATION_ALPHA, AdmmConfig, AdmmSolver, SolverState
+from .cohesive import (
+    CohesiveParams,
+    commit_history,
+    dissipated_energy,
+    validate_penalty,
+)
 from .elasticity import Material, assemble_stiffness
 from .errors import ConfigError, ConvergenceError, OperatorMutatedError
 from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
@@ -192,6 +201,29 @@ def _dirichlet_layout(mesh: BrokenMesh, schedule: LoadSchedule):
     return all_dofs, driven_pos
 
 
+def _activation_config(
+    config: AdmmConfig, jump, params: CohesiveParams
+) -> AdmmConfig | None:
+    """Config of the steps after an activation step, or None for `config`.
+
+    None when alpha is already at most ACTIVATION_ALPHA, and when the
+    lower penalty breaks the strong-convexity bound, which is logged.
+    """
+    alpha = min(config.alpha, ACTIVATION_ALPHA)
+    if alpha == config.alpha:
+        return None
+    lower = replace(config, alpha=alpha)
+    try:
+        validate_penalty(lower.penalty(jump.areas, params), jump.areas, params)
+    except ConfigError as exc:
+        log.info(
+            "activation alpha %g refused, every step runs at alpha %g: %s",
+            alpha, config.alpha, exc,
+        )
+        return None
+    return lower
+
+
 def run_quasistatic(
     input_mesh: InputMesh,
     material: Material,
@@ -208,8 +240,14 @@ def run_quasistatic(
     Each step is a solve that changes nothing outside the solver but its
     Anderson rows; this loop then commits the converged openings to the
     damage history delta_max and takes the reaction on the loaded nodes.
+    A step that turns a pristine Gauss point into a damaged one sends the
+    next step to a second solver at alpha min(alpha, ACTIVATION_ALPHA),
+    built from the same K and jump when first needed and dropped when the
+    run ends; the states carry over unchanged, each solver keeps its own
+    Anderson rows, and a step's reaction uses its own penalty.
 
-    setup_sink(mesh, jump, solver) fires once after assembly;
+    setup_sink(mesh, jump, solver) fires once after assembly, with the
+    solver at the configured alpha;
     step_sink(row, state, delta_max) after every converged step
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
@@ -235,6 +273,8 @@ def run_quasistatic(
         iteration_sink=iteration_sink,
     )
     matrix_digest = solver.checksum()
+    activation_config = _activation_config(admm_config, jump, cohesive)
+    activation_solver = None
     if setup_sink is not None:
         setup_sink(mesh, jump, solver)
 
@@ -285,7 +325,24 @@ def run_quasistatic(
 
     z_before = None                      # z_{k-2}
     quality = None
+    n_damaged = 0
+    activated = False                    # the last step damaged a pristine point
     for k in range(1, schedule.n_steps + 1):
+        step_solver = solver
+        if activated and activation_config is not None:
+            if activation_solver is None:
+                t_build = time.perf_counter()
+                activation_solver = AdmmSolver(
+                    K, jump, cohesive, activation_config, dirichlet,
+                    mesh.nodes, iteration_sink=iteration_sink,
+                )
+                backend = activation_solver.fact.backend
+                log.info(
+                    "activation factor: alpha=%g built in %.3f s, nnz=%d",
+                    activation_config.alpha, time.perf_counter() - t_build,
+                    backend.nnz if backend is not None else 0,
+                )
+            step_solver = activation_solver
         target = schedule.applied(k)
         bc_values = np.zeros(len(dirichlet))
         bc_values[driven_pos] = target
@@ -300,12 +357,15 @@ def run_quasistatic(
         warm = trial if use_extrap else z_prev
         t0 = time.perf_counter()
         try:
-            result = solver.run_step(warm, bc_values, delta_max, step=k)
+            result = step_solver.run_step(warm, bc_values, delta_max, step=k)
         except ConvergenceError as exc:
             exc.partial_record = record
             raise
         commit_history(delta_max, result.state.delta, cohesive)
-        force = float(solver.reaction(result.state, reaction_nodes)[axis])
+        # the history never decreases, so a new nonzero is a new crack point
+        damaged = np.count_nonzero(delta_max)
+        activated, n_damaged = damaged > n_damaged, damaged
+        force = float(step_solver.reaction(result.state, reaction_nodes)[axis])
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
         emit(
@@ -322,8 +382,9 @@ def run_quasistatic(
             result.state,
         )
         log.info(
-            "step %d/%d: u=%.6g force=%.6g iters=%d extrap=%s",
+            "step %d/%d: u=%.6g force=%.6g iters=%d extrap=%s alpha=%g",
             k, schedule.n_steps, target, force, result.iterations, use_extrap,
+            step_solver.config.alpha,
         )
 
         z_new = result.state

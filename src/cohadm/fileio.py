@@ -34,11 +34,9 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 def _clean_lines(path):
-    """Yield (line number, stripped text) with comments removed."""
+    """Stripped text of every line, comments removed; line k is item k - 1."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            yield lineno, text
+        return [raw.split("#", 1)[0].strip() for raw in fh]
 
 
 def parse_mesh(path) -> InputMesh:
@@ -48,21 +46,20 @@ def parse_mesh(path) -> InputMesh:
     failure raises MeshParseError with the offending line; a failed mesh
     check names the file's last line.
     """
-    lines = list(_clean_lines(path))
+    lines = _clean_lines(path)
     pos = 0
     n_lines = len(lines)
 
     def skip_blank():
         nonlocal pos
-        while pos < n_lines and not lines[pos][1]:
+        while pos < n_lines and not lines[pos]:
             pos += 1
 
     def expect_section(name):
         nonlocal pos
         skip_blank()
-        if pos >= n_lines or lines[pos][1] != name:
-            lineno = lines[pos][0] if pos < n_lines else n_lines + 1
-            raise MeshParseError(path, lineno, f"expected section {name}")
+        if pos >= n_lines or lines[pos] != name:
+            raise MeshParseError(path, pos + 1, f"expected section {name}")
         pos += 1
 
     def read_count(what):
@@ -70,25 +67,55 @@ def parse_mesh(path) -> InputMesh:
         skip_blank()
         if pos >= n_lines:
             raise MeshParseError(path, n_lines + 1, f"missing {what} count")
-        lineno, text = lines[pos]
+        text = lines[pos]
         try:
             count = int(text)
         except ValueError:
-            raise MeshParseError(path, lineno, f"bad {what} count {text!r}") from None
+            raise MeshParseError(path, pos + 1, f"bad {what} count {text!r}") from None
         if count < 0:
-            raise MeshParseError(path, lineno, f"negative {what} count")
+            raise MeshParseError(path, pos + 1, f"negative {what} count")
         pos += 1
         return count
 
     def read_rows(count, n_fields, cast, what):
+        """The count rows after pos as (values, line numbers).
+
+        The section is read as whole columns when its next count lines
+        are well-formed rows with ids 1..count; the row loop runs only to
+        name the line at fault.
+        """
         nonlocal pos
-        rows = np.empty((count, n_fields - 1), dtype=float if cast is float else np.int64)
+        dtype = float if cast is float else np.int64
+        block = lines[pos:pos + count]
+        # '#' never survives _clean_lines, so as a token it can only be
+        # a line break: count - 1 of them, one after every n_fields
+        # tokens, mean count lines of n_fields fields, none of them blank
+        tokens = " # ".join(block).split()
+        stride = n_fields + 1
+        if (
+            count
+            and len(tokens) == stride * count - 1
+            and tokens[n_fields::stride] == ["#"] * (count - 1)
+        ):
+            try:
+                ids = np.fromiter(map(int, tokens[::stride]), np.int64, count)
+                rows = np.stack([
+                    np.fromiter(map(cast, tokens[j::stride]), dtype, count)
+                    for j in range(1, n_fields)
+                ], axis=1)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                if np.array_equal(ids, np.arange(1, count + 1)):
+                    pos += count
+                    return rows, np.arange(pos - count + 1, pos + 1)
+        rows = np.empty((count, n_fields - 1), dtype=dtype)
         linenos = np.empty(count, dtype=np.int64)
         for k in range(count):
             skip_blank()
             if pos >= n_lines:
                 raise MeshParseError(path, n_lines + 1, f"truncated {what} section")
-            lineno, text = lines[pos]
+            lineno, text = pos + 1, lines[pos]
             parts = text.split()
             if len(parts) != n_fields:
                 raise MeshParseError(
@@ -128,8 +155,8 @@ def parse_mesh(path) -> InputMesh:
     skip_blank()
     sets: dict[str, np.ndarray] = {}
     if pos < n_lines:
-        if lines[pos][1] != "$NodeSets":
-            raise MeshParseError(path, lines[pos][0], "expected section $NodeSets")
+        if lines[pos] != "$NodeSets":
+            raise MeshParseError(path, pos + 1, "expected section $NodeSets")
         pos += 1
         current_name = None
         current_ids: list[int] = []
@@ -152,7 +179,7 @@ def parse_mesh(path) -> InputMesh:
                 current_name, current_ids = None, []
 
         while pos < n_lines:
-            lineno, text = lines[pos]
+            lineno, text = pos + 1, lines[pos]
             pos += 1
             if not text:
                 close_set()

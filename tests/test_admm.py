@@ -784,10 +784,10 @@ def reference_run_step(solver, state0, bc_values, delta_max, history):
     """One load step as the iteration computed it before the per-step
     context: A.T built for every product, a freshly checked local-solve
     context per iteration, coupling @ bc_values per solve and residuals
-    from fresh temporaries. `history` is one dict per run: it keeps the
-    Anderson differences of the last step while delta_max is unchanged,
-    and a new _Anderson otherwise. Commits nothing; returns (state,
-    iterations)."""
+    from fresh temporaries. `history` is one dict per run and penalty:
+    it keeps the Anderson differences of the last step at that penalty
+    while delta_max is unchanged, and a new _Anderson otherwise. Commits
+    nothing; returns (state, iterations)."""
     jump, rho, params, fact = solver.jump, solver.rho, solver.params, solver.fact
     areas2 = np.repeat(jump.areas, 2)
     anderson = history.get("anderson")
@@ -834,15 +834,17 @@ def reference_run_step(solver, state0, bc_values, delta_max, history):
 def check_every_step(monkeypatch):
     """Make AdmmSolver.run_step compare each step with the reference.
 
-    Returns the list of per-step iteration counts the check fills.
+    Returns the list of per-step iteration counts and the set of
+    penalties that the check fills.
     """
     run_step = AdmmSolver.run_step
-    counts = []
-    history = {}
+    counts, penalties = [], set()
+    histories = {}      # one Anderson history per penalty
 
     def checked(self, state0, bc_values, delta_max, step=0):
         want, want_iters = reference_run_step(
-            self, state0, bc_values, delta_max.copy(), history
+            self, state0, bc_values, delta_max.copy(),
+            histories.setdefault(self.rho, {}),
         )
         got = run_step(self, state0, bc_values, delta_max, step)
         assert got.iterations == want_iters, f"step {step}"
@@ -851,16 +853,17 @@ def check_every_step(monkeypatch):
             mine, ref = getattr(got.state, name), getattr(want, name)
             assert mine.tobytes() == ref.tobytes(), f"step {step}: {name}"
         counts.append(got.iterations)
+        penalties.add(self.rho)
         return got
 
     monkeypatch.setattr(AdmmSolver, "run_step", checked)
-    return counts
+    return counts, penalties
 
 
 def test_iterates_match_reference_through_the_snap(soft_material, params, monkeypatch):
     """The fracture strip of test_driver: activation, peak, and the snap
     into one crack, the step that takes by far the most iterations."""
-    counts = check_every_step(monkeypatch)
+    counts, penalties = check_every_step(monkeypatch)
     schedule = LoadSchedule(
         bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
         fixed_sets=(("left", "x"), ("pin", "y")),
@@ -869,14 +872,16 @@ def test_iterates_match_reference_through_the_snap(soft_material, params, monkey
         rect_strip(4.0, 2.0, 4, 4), soft_material, params, schedule, AdmmConfig()
     )
     assert len(counts) == 60 and max(counts) > 100
+    assert len(penalties) == 2
     stresses = np.asarray(record.stresses)
     assert stresses[-1] < 0.8 * stresses.max()
 
 
 def test_iterates_match_reference_at_mixity_two(monkeypatch):
     """A porous plate at beta = 2 through its peak: every step takes the
-    general three-candidate local solve, with opening and unloading points."""
-    counts = check_every_step(monkeypatch)
+    general three-candidate local solve, with opening and unloading points,
+    at both the configured and the activation penalty."""
+    counts, penalties = check_every_step(monkeypatch)
     material = Material(youngs_modulus=30000.0, poisson_ratio=0.2,
                         mode="plane_stress", thickness=1.0)
     mixed = CohesiveParams(sigma_c=SC, delta_c=DC, beta=2.0)
@@ -885,11 +890,12 @@ def test_iterates_match_reference_at_mixity_two(monkeypatch):
         min_gap=1.0, margin=1.5, seed=4,
     )
     schedule = LoadSchedule(
-        bc_set="right", direction="x", u_start=0.0, u_end=0.004, n_steps=16,
+        bc_set="right", direction="x", u_start=0.0, u_end=0.004, n_steps=12,
         fixed_sets=(("left", "x"), ("pin", "y")),
     )
     record = run_quasistatic(mesh, material, mixed, schedule, AdmmConfig())
-    assert len(counts) == 16 and max(counts) > 50
+    assert len(counts) == 12 and max(counts) > 50
+    assert len(penalties) == 2
     stresses = np.asarray(record.stresses)
     assert stresses.argmax() < len(stresses) - 1        # past the peak
     assert (record.delta_max > 0.0).sum() > 10

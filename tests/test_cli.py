@@ -112,6 +112,42 @@ def test_same_outputs_script(walkthrough_inputs, capsys):
     assert capsys.readouterr().out.startswith("stress_strain.csv:6: ")
 
 
+def test_same_outputs_curve_tolerance(walkthrough_inputs, capsys):
+    """--curve-tol names the largest stress gap in percent of the first
+    run's peak, its step and both iteration totals, and exits 1 above
+    the tolerance."""
+    same_outputs = runpy.run_path(str(SCRIPTS / "same_outputs.py"))["main"]
+    mesh, config = walkthrough_inputs / "strip.mesh", walkthrough_inputs / "strip.yaml"
+    run, moved = walkthrough_inputs / "run", walkthrough_inputs / "moved"
+    assert main(["run", "--mesh", str(mesh), "--config", str(config),
+                 "--out", str(run)]) == 0
+    shutil.copytree(run, moved)
+    table = moved / "stress_strain.csv"
+    lines = table.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    stress, iters = header.index("avg_stress"), header.index("iterations")
+    rows = [line.split(",") for line in lines[1:]]
+    peak = max(float(cells[stress]) for cells in rows)
+    total = sum(int(cells[iters]) for cells in rows)
+    cells = rows[3]     # step 3: stress up by 0.5% of peak, 7 more iterations
+    cells[stress] = repr(float(cells[stress]) + 0.005 * peak)
+    cells[iters] = str(int(cells[iters]) + 7)
+    table.write_text(lines[0] + "".join(",".join(cells) for cells in rows))
+    capsys.readouterr()
+
+    assert same_outputs(["--curve-tol", "1", str(run), str(moved)]) == 0
+    assert capsys.readouterr().out == (
+        f"largest stress gap 0.5% of peak at step 3; "
+        f"iterations {total} / {total + 7}\n"
+    )
+    assert same_outputs(["--curve-tol", "0.4", str(run), str(moved)]) == 1
+    assert same_outputs([str(run), str(moved)]) == 1
+    (moved / "stress_strain.csv").write_text(lines[0] + "".join(lines[1:3]))
+    capsys.readouterr()
+    assert same_outputs(["--curve-tol", "1", str(run), str(moved)]) == 1
+    assert "do not have the same steps" in capsys.readouterr().out
+
+
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
     mesh_path, config_path = strip_inputs
     out = tmp_path / "res"

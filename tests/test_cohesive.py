@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cohadm import cohesive
 from cohadm.cohesive import (
     CohesiveParams,
     LocalSolveContext,
@@ -318,10 +319,11 @@ def full_local_solve(p, a, dm, rho, params):
 
 @pytest.mark.parametrize("per_point_rho", [False, True], ids=["scalar", "array"])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 0.5])
-def test_local_solve_matches_full_evaluation(beta, per_point_rho):
+def test_local_solve_matches_full_evaluation(beta, per_point_rho, monkeypatch):
     """Bit for bit, with drives on both sides of the activation traction
     down to 1e-13 of it, and pristine, unloading, loading and failed
-    histories."""
+    histories; at beta != 1 only the points not proven closed reach the
+    loading root."""
     params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=beta)
     rng = np.random.default_rng(41)
     n = 4000
@@ -339,9 +341,21 @@ def test_local_solve_matches_full_evaluation(beta, per_point_rho):
     rho = 100.0 * a.mean() * SC / DC * max(1.0, beta**2)
     if per_point_rho:
         rho = rho * rng.uniform(0.5, 1.5, size=n)
+    sizes = []
+    loading_root = cohesive._loading_root
+
+    def counted(pn_pos, *args):
+        sizes.append(len(pn_pos))
+        return loading_root(pn_pos, *args)
+
+    monkeypatch.setattr(cohesive, "_loading_root", counted)
     got = solve_local_batch(p, LocalSolveContext(a, dm, rho, params))
     want = full_local_solve(p, a, dm, np.asarray(rho), params)
     assert got.tobytes() == want.tobytes()
+    pn_pos = np.maximum(p[:, 0], 0.0)
+    closed = (dm <= 0.0) & (np.hypot(pn_pos, p[:, 1] / beta) <= a * SC)
+    assert closed.sum() > n // 10
+    assert sizes == ([] if beta == 1.0 else [n - closed.sum()])
     # every branch occurs
     opened = params.effective_opening(got) > 0.0
     assert opened.any() and not opened.all()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohadm import admm
+from cohadm import admm, driver
 from cohadm.admm import AdmmConfig, SolverState
 from cohadm.cohesive import CohesiveParams, commit_history, dissipated_energy
 from cohadm.driver import (
@@ -220,12 +220,12 @@ def residual_log():
     return []
 
 
-def fracture_run(config=AdmmConfig(), iteration_sink=None):
+def fracture_run(config=AdmmConfig(), iteration_sink=None, beta=1.0):
     """60 steps on a 4x4-cell strip, through the peak into softening."""
     mesh = rect_strip(4.0, 2.0, 4, 4)
     mat = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
                    mode="plane_stress", thickness=1.0)
-    params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=1.0)
+    params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=beta)
     sched = LoadSchedule(
         bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
         fixed_sets=(("left", "x"), ("pin", "y")),
@@ -423,3 +423,142 @@ def test_empty_driven_set_rejected(soft_material, params):
                 mesh, soft_material, params, small_strip_schedule(0.001, 2),
                 AdmmConfig(),
             )
+
+
+def count_factors(monkeypatch):
+    """Make every factorization append its rho to the returned list."""
+    rhos = []
+    factorize = admm.factorize_system
+
+    def counted(K, A, rho, *args):
+        rhos.append(rho)
+        return factorize(K, A, rho, *args)
+
+    monkeypatch.setattr(admm, "factorize_system", counted)
+    return rhos
+
+
+def record_step_penalties(monkeypatch):
+    """Make every step append (damaged points at its start, rho), and
+    every reaction its rho, to the returned lists."""
+    steps, reactions = [], []
+    run_step, reaction = admm.AdmmSolver.run_step, admm.AdmmSolver.reaction
+
+    def run_step_logged(self, state0, bc_values, delta_max, step=0):
+        steps.append((np.count_nonzero(delta_max), self.rho))
+        return run_step(self, state0, bc_values, delta_max, step)
+
+    def reaction_logged(self, state, nodes):
+        reactions.append(self.rho)
+        return reaction(self, state, nodes)
+
+    monkeypatch.setattr(admm.AdmmSolver, "run_step", run_step_logged)
+    monkeypatch.setattr(admm.AdmmSolver, "reaction", reaction_logged)
+    return steps, reactions
+
+
+class TestActivationPenalty:
+    """The step after one that activates a Gauss point runs at alpha
+    min(alpha, ACTIVATION_ALPHA), from a second factor built on demand."""
+
+    def test_second_factor_only_when_a_step_activates(
+        self, soft_material, monkeypatch
+    ):
+        assert admm.ACTIVATION_ALPHA == 60.0
+        rhos = count_factors(monkeypatch)
+        rigid = CohesiveParams(sigma_c=1e9, delta_c=DC, beta=1.0)
+        run_quasistatic(
+            rect_strip(4.0, 2.0, 4, 2), soft_material, rigid,
+            small_strip_schedule(u_end=4e-3, n_steps=6), AdmmConfig(),
+        )
+        assert len(rhos) == 1
+        rhos.clear()
+        fracture_run(AdmmConfig(alpha=60.0))
+        assert len(rhos) == 1
+        rhos.clear()
+        fracture_run(AdmmConfig(alpha=100.0))
+        assert len(rhos) == 2
+        assert rhos[1] == pytest.approx(0.6 * rhos[0], rel=1e-14)
+
+    def test_step_after_activation_runs_at_lower_rho(self, monkeypatch):
+        steps, reactions = record_step_penalties(monkeypatch)
+        record = fracture_run()
+        damaged = [n for n, _ in steps]
+        rhos = [rho for _, rho in steps]
+        high, low = rhos[0], 0.6 * rhos[0]
+        # step k + 1 starts with more damaged points exactly when step k
+        # activated one; step 1 follows no step
+        after_activation = [False] + [
+            later > earlier for earlier, later in zip(damaged, damaged[1:])
+        ]
+        assert 0 < sum(after_activation) < len(steps) - 1
+        for k, (lower, rho) in enumerate(zip(after_activation, rhos), start=1):
+            assert rho == pytest.approx(low if lower else high, rel=1e-14), k
+        # each step's reaction at the penalty it was solved at
+        assert reactions == rhos
+        assert len(steps) == len(record.rows) - 1
+
+    def test_no_anderson_rows_cross_a_switch(self, monkeypatch):
+        """A run whose solvers drop their Anderson rows whenever the
+        penalty switches is bit for bit the same run, and each penalty
+        keeps its own rows, scaled by its own rho."""
+        kept = fracture_run()
+        run_step = admm.AdmmSolver.run_step
+        last = []
+
+        def clear_on_switch(self, state0, bc_values, delta_max, step=0):
+            if last and last[-1] is not self:
+                self._anderson.delta_max = None     # start clears the rows
+            last.append(self)
+            return run_step(self, state0, bc_values, delta_max, step)
+
+        monkeypatch.setattr(admm.AdmmSolver, "run_step", clear_on_switch)
+        cleared = fracture_run()
+        solvers = list(dict.fromkeys(last))
+        assert len(solvers) == 2
+        high, low = solvers
+        assert low._anderson is not high._anderson
+        for solver in solvers:
+            areas2 = np.repeat(solver.jump.areas, 2)
+            assert np.array_equal(
+                solver._anderson.scale,
+                np.concatenate([solver.rho / areas2, 1.0 / areas2]),
+            )
+        assert [r.iterations for r in cleared.rows] == [
+            r.iterations for r in kept.rows
+        ]
+        assert cleared.stresses.tobytes() == kept.stresses.tobytes()
+        for name in ("u", "delta", "y"):
+            assert (
+                getattr(cleared.final_state, name).tobytes()
+                == getattr(kept.final_state, name).tobytes()
+            )
+
+    def test_switch_keeps_the_fracture_curve(self, monkeypatch):
+        """Within 1% of peak of the fixed-penalty curve. As for the
+        relaxed map, the snap step moves with the map at c = 0.01, so the
+        curves are compared at c = 1e-3."""
+        tight = AdmmConfig(c_primal=1e-3, c_dual=1e-3)
+        switched = fracture_run(tight)
+        monkeypatch.setattr(driver, "ACTIVATION_ALPHA", np.inf)
+        fixed = fracture_run(tight)
+        peak = max(switched.stresses.max(), fixed.stresses.max())
+        assert peak > 0.0
+        assert np.abs(switched.stresses - fixed.stresses).max() <= 0.01 * peak
+
+    def test_refused_activation_penalty_keeps_configured_rho(
+        self, monkeypatch, caplog
+    ):
+        """At beta = 7 the fracture strip's penalty passes the
+        strong-convexity bound at alpha 100 and fails it at alpha 60, so
+        every step runs at alpha 100 and the run says why."""
+        steps, _ = record_step_penalties(monkeypatch)
+        rhos = count_factors(monkeypatch)
+        with caplog.at_level("INFO", logger="cohadm.driver"):
+            fracture_run(beta=7.0)
+        damaged = [n for n, _ in steps]
+        # the strip cracks, and a step follows an activation step
+        assert any(b > a for a, b in zip(damaged, damaged[1:]))
+        assert len(rhos) == 1
+        assert {rho for _, rho in steps} == {rhos[0]}
+        assert "activation alpha 60 refused" in caplog.text

@@ -201,6 +201,23 @@ class TestMeshParsing:
         for name in mesh.boundary_sets:
             assert np.array_equal(back.boundary_sets[name], mesh.boundary_sets[name])
 
+    def test_irregular_rows_read_as_the_plain_file(self, tmp_path):
+        """Blank lines, comments, tabs and repeated spaces inside a section
+        take the row loop; the mesh reads the same as the plain file's."""
+        mesh = rect_strip(np.pi, np.e, 3, 2)
+        plain = tmp_path / "plain.mesh"
+        write_mesh(mesh, plain)
+        lines = plain.read_text().splitlines()
+        lines[3] = lines[3].replace(" ", "\t") + "  # a comment"
+        lines[4] = "  " + lines[4].replace(" ", "   ")
+        lines.insert(5, "")
+        irregular = tmp_path / "irregular.mesh"
+        irregular.write_text("\n".join(lines) + "\n")
+        back, want = parse_mesh(irregular), parse_mesh(plain)
+        assert back.nodes.tobytes() == want.nodes.tobytes()
+        assert back.triangles.tobytes() == want.triangles.tobytes()
+        assert back.boundary_sets.keys() == want.boundary_sets.keys()
+
     @pytest.mark.parametrize("name", ["a#b", "two words", ""])
     def test_unreadable_set_name_refused(self, tmp_path, name):
         """'a#b' would read back as an empty set 'a'; 'two words' would
