@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Time the two SuperLU solve kernels on the factor a run would build.
+
+    python scripts/solve_kernels.py out/demo/porous.mesh out/demo/porous.yaml
+    OPENBLAS_NUM_THREADS=1 taskset -c 0 python scripts/solve_kernels.py M C
+
+Builds the set-up of `cohadm run` for MESH and CONFIG up to the factor
+of K + rho A'A at the configured alpha, then times SuperLU's solve with
+trans="N" (`supernodal`) and trans="T" (`transposed`) on one random
+right-hand side, in alternating rounds. Prints the factor's stored
+entries, the median ms per solve of each kernel and the kernel the
+solver picks (admm.SMALL_FACTOR_NNZ), so the constant can be checked on
+another host.
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from cohadm import admm
+from cohadm.driver import run_quasistatic
+from cohadm.fileio import parse_config, parse_mesh
+
+ROUND_S = 0.05          # each round times solves for about this long
+
+
+class _Built(Exception):
+    """Stops the run once its solver is set up."""
+
+    def __init__(self, solver):
+        self.solver = solver
+
+
+def configured_solver(mesh_path, config_path) -> admm.AdmmSolver:
+    """The solver `cohadm run` builds first: the configured alpha."""
+    config = parse_config(config_path)
+
+    def stop(mesh, jump, solver):
+        raise _Built(solver)
+
+    try:
+        run_quasistatic(
+            parse_mesh(mesh_path), config.material, config.cohesive,
+            config.schedule, config.admm, config.policy, setup_sink=stop,
+        )
+    except _Built as built:
+        return built.solver
+    raise RuntimeError("the run ended before its set-up")
+
+
+def time_kernels(lu, rhs, rounds: int) -> dict[str, float]:
+    """Median ms per solve of each kernel over alternating rounds."""
+    start = time.perf_counter()
+    lu.solve(rhs)
+    reps = max(1, int(ROUND_S / max(time.perf_counter() - start, 1e-6)))
+    samples = {name: [] for name in admm.SOLVE_KERNELS}
+    order = list(admm.SOLVE_KERNELS)
+    for _ in range(rounds):
+        for name in order:
+            trans = admm.SOLVE_KERNELS[name]
+            start = time.perf_counter()
+            for _ in range(reps):
+                lu.solve(rhs, trans=trans)
+            samples[name].append(1e3 * (time.perf_counter() - start) / reps)
+        order.reverse()
+    return {name: statistics.median(ms) for name, ms in samples.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("mesh")
+    parser.add_argument("config")
+    parser.add_argument("--rounds", type=int, default=20,
+                        help="alternating rounds per kernel (default 20)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    backend = configured_solver(args.mesh, args.config).fact.backend
+    if backend is None:
+        print("every DOF is fixed: no factor to solve with")
+        return 1
+    rhs = np.random.default_rng(0).normal(size=backend._lu.shape[0])
+    medians = time_kernels(backend._lu, rhs, args.rounds)
+    print(f"nnz {backend.nnz}")
+    for name, ms in medians.items():
+        print(f"{name} {ms:.4g} ms (trans={admm.SOLVE_KERNELS[name]}, "
+              f"median of {args.rounds} rounds)")
+    print(f"picks {backend.kernel} "
+          f"(SMALL_FACTOR_NNZ {admm.SMALL_FACTOR_NNZ})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -37,6 +37,7 @@ import hashlib
 import logging
 import math
 import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,20 @@ ANDERSON_WINDOW = 5
 # other steps do best at 100; switching after activation steps alone
 # takes 1746 iterations, with the curve within 0.14% of peak.
 ACTIVATION_ALPHA = 60.0
+
+# Stored factor entries (SuperLU.nnz) up to which a solve runs SuperLU's
+# transposed substitution, trans="T"; a larger factor keeps the default
+# "N". The reduced operator equals its transpose bit for bit, so both
+# solve the same system. Median ms per solve, "T" against "N", one core
+# of a 2-CPU shared Xeon host, one BLAS thread: 0.85 / 1.01 on the
+# criterion-5 porous plate (0.76M entries), 1.18 / 1.34 at 1.03M,
+# 4.49 / 5.18 at 3.73M, within noise of each other from 4.1M to 11M,
+# and 47.5 / 42.9 at 22.4M (the 30k strip). scripts/solve_kernels.py
+# re-measures the pair on one mesh.
+SMALL_FACTOR_NNZ = 4_000_000
+
+# SuperLU.solve's `trans` argument of each solve kernel
+SOLVE_KERNELS = {"supernodal": "N", "transposed": "T"}
 
 
 @dataclass
@@ -167,7 +182,11 @@ class _SuperLuBackend:
     Symmetric mode with a zero pivot threshold takes every pivot from the
     diagonal, so the minimum-degree ordering of A + A^T serves as a
     symmetric elimination order; on this operator it fills far less than
-    the COLAMD ordering of a general LU.
+    the COLAMD ordering of a general LU. The solve kernel is chosen once,
+    from the size of the factor: `transposed` (trans="T") up to
+    SMALL_FACTOR_NNZ stored entries, `supernodal` (trans="N") above.
+    Both solve the same system only because the operator is exactly
+    symmetric.
     """
 
     def __init__(self, reduced: sp.csc_matrix):
@@ -177,9 +196,12 @@ class _SuperLuBackend:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+        small = self.nnz <= SMALL_FACTOR_NNZ
+        self.kernel = "transposed" if small else "supernodal"
+        self._trans = SOLVE_KERNELS[self.kernel]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        return self._lu.solve(rhs, trans=self._trans)
 
     @property
     def nnz(self) -> int:
@@ -197,19 +219,21 @@ class Factorization:
     coupling: sp.csr_matrix        # rows free, columns fixed
 
     def solve(
-        self, rhs: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray
+        self, g: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray
     ) -> np.ndarray:
-        """Solve with prescribed values on the fixed DOFs.
+        """Minimizer of (1/2) u'Mu + g'u with u = bc_values on the fixed
+        DOFs: the solution of M u = -g on the free ones.
 
-        `lifted` is `coupling @ bc_values`, the same for every right-hand
-        side solved at these boundary values.
+        `lifted` is `coupling @ bc_values`, the same for every g solved
+        at these boundary values.
         """
         u = np.empty(len(self.free) + len(self.fixed))
         u[self.fixed] = bc_values
         if self.backend is None:
             return u
-        reduced = rhs[self.free]
-        reduced -= lifted
+        reduced = g[self.free]
+        reduced += lifted
+        np.negative(reduced, out=reduced)
         u[self.free] = self.backend.solve(reduced)
         return u
 
@@ -423,11 +447,20 @@ class AdmmSolver:
         self.config = config
         self.rho = config.penalty(jump.areas, params)
         validate_penalty(self.rho, jump.areas, params)
+        t_build = time.perf_counter()
         self.fact = factorize_system(K, jump.A, self.rho, dirichlet_dofs, coords)
+        backend = self.fact.backend
+        log.info(
+            "factor: alpha=%g built in %.3f s, nnz=%d, kernel=%s",
+            config.alpha, time.perf_counter() - t_build,
+            backend.nnz if backend is not None else 0,
+            backend.kernel if backend is not None else "none",
+        )
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
         # CSR rows of A^T sum in the order of a CSC product with A.T
         self._a_t = jump.A.T.tocsr()
+        self._drive = np.empty(2 * jump.n_points)      # y - rho delta
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)
         self._anderson = None
@@ -467,9 +500,9 @@ class AdmmSolver:
 
         `lifted` is `fact.coupling @ bc_values`.
         """
-        rhs = self._a_t @ (y - self.rho * delta)
-        np.negative(rhs, out=rhs)
-        return self.fact.solve(rhs, bc_values, lifted)
+        drive = np.multiply(delta, self.rho, out=self._drive)
+        np.subtract(y, drive, out=drive)
+        return self.fact.solve(self._a_t @ drive, bc_values, lifted)
 
     def delta_update(
         self, au: np.ndarray, y: np.ndarray, local: LocalSolveContext

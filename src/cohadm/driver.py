@@ -331,16 +331,9 @@ def run_quasistatic(
         step_solver = solver
         if activated and activation_config is not None:
             if activation_solver is None:
-                t_build = time.perf_counter()
                 activation_solver = AdmmSolver(
                     K, jump, cohesive, activation_config, dirichlet,
                     mesh.nodes, iteration_sink=iteration_sink,
-                )
-                backend = activation_solver.fact.backend
-                log.info(
-                    "activation factor: alpha=%g built in %.3f s, nnz=%d",
-                    activation_config.alpha, time.perf_counter() - t_build,
-                    backend.nnz if backend is not None else 0,
                 )
             step_solver = activation_solver
         target = schedule.applied(k)

@@ -94,10 +94,17 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
     2 i, 2 i + 1 are node i's x and y). One-point integration, exact for
     constant-strain triangles. Raises AssemblyError for degenerate
     (non-positive area) elements.
+
+    K equals its transpose bit for bit, so a transposed solve with a
+    factor of K + rho A^T A solves the same system (admm.SMALL_FACTOR_NNZ).
     """
     B, area = element_b_matrices(mesh.nodes, mesh.triangles)
     D = mat.d_matrix()
     ke = np.einsum("eji,jk,ekl->eil", B, D, B) * (area * mat.thickness)[:, None, None]
+    # B^T D B rounds differently above and below the diagonal; each
+    # (i, j) entry comes from one element (private nodes), so averaging
+    # the block with its transpose makes K exactly symmetric
+    ke = 0.5 * (ke + ke.transpose(0, 2, 1))
 
     dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * mesh.triangles

@@ -117,16 +117,53 @@ class TestFactorize:
         fact = factorize_system(stiffness, jump.A, rho, dirichlet, bm.nodes)
         M = (stiffness + rho * (jump.A.T @ jump.A)).toarray()
         rng = np.random.default_rng(0)
-        rhs = rng.normal(size=bm.n_dof)
+        g = rng.normal(size=bm.n_dof)
         bc = rng.normal(size=len(dirichlet)) * 0.01
-        u = fact.solve(rhs, bc, fact.coupling @ bc)
+        u = fact.solve(g, bc, fact.coupling @ bc)
         free = np.setdiff1d(np.arange(bm.n_dof), dirichlet)
         dense = np.zeros(bm.n_dof)
         dense[dirichlet] = bc
         dense[free] = np.linalg.solve(
-            M[np.ix_(free, free)], rhs[free] - M[np.ix_(free, dirichlet)] @ bc
+            M[np.ix_(free, free)], -g[free] - M[np.ix_(free, dirichlet)] @ bc
         )
         assert np.allclose(u, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
+
+    def test_kernel_follows_factor_size(self, soft_material, monkeypatch):
+        """Up to SMALL_FACTOR_NNZ stored entries the factor solves with
+        the transposed kernel, above it with the supernodal one; on the
+        exactly symmetric operator both solve the same system."""
+        mesh = porous_plate(
+            width=10.0, height=10.0, nx=8, ny=8, n_pores=2,
+            pore_radius=(1.0, 1.5), min_gap=1.0, margin=1.5, seed=4,
+        )
+        bm = break_mesh(mesh)
+        jump = build_jump_operator(bm)
+        stiffness = assemble_stiffness(bm, soft_material)
+        rho = 500.0
+        M = (stiffness + rho * (jump.A.T @ jump.A)).tocsr()
+        assert (M != M.T).nnz == 0
+        dirichlet = bm.dofs_of(mesh.boundary_sets["left"], "xy")
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=bm.n_dof)
+        bc = rng.normal(size=len(dirichlet)) * 0.01
+        solutions = {}
+        for limit, kernel in ((0, "supernodal"), (10**12, "transposed")):
+            monkeypatch.setattr(admm, "SMALL_FACTOR_NNZ", limit)
+            fact = factorize_system(stiffness, jump.A, rho, dirichlet, bm.nodes)
+            assert fact.backend.kernel == kernel
+            solutions[kernel] = fact.solve(g, bc, fact.coupling @ bc)
+        free = fact.free
+        dense = np.empty(bm.n_dof)
+        dense[dirichlet] = bc
+        Md = M.toarray()
+        dense[free] = np.linalg.solve(
+            Md[np.ix_(free, free)], -g[free] - Md[np.ix_(free, dirichlet)] @ bc
+        )
+        size = np.abs(dense).max()
+        a, b = solutions["supernodal"], solutions["transposed"]
+        assert np.abs(a - b).max() <= 1e-12 * size
+        for u in (a, b):
+            assert np.abs(u - dense).max() <= 1e-10 * size
 
     def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
         bm = break_mesh(two_triangle_square)

@@ -148,6 +148,21 @@ def test_same_outputs_curve_tolerance(walkthrough_inputs, capsys):
     assert "do not have the same steps" in capsys.readouterr().out
 
 
+def test_solve_kernels_script(walkthrough_inputs, capsys):
+    """The kernel timer names the factor size, both kernels' medians and
+    the kernel the solver picks for the walkthrough strip."""
+    solve_kernels = runpy.run_path(str(SCRIPTS / "solve_kernels.py"))["main"]
+    mesh, config = walkthrough_inputs / "strip.mesh", walkthrough_inputs / "strip.yaml"
+    assert solve_kernels([str(mesh), str(config), "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"nnz [1-9][0-9]*", lines[0])
+    for line, kernel in zip(lines[1:3], ("supernodal", "transposed")):
+        assert re.fullmatch(
+            rf"{kernel} [0-9.e+-]+ ms \(trans=[NT], median of 2 rounds\)", line
+        )
+    assert lines[3] == "picks transposed (SMALL_FACTOR_NNZ 4000000)"
+
+
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
     mesh_path, config_path = strip_inputs
     out = tmp_path / "res"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -545,6 +547,18 @@ class TestActivationPenalty:
         peak = max(switched.stresses.max(), fixed.stresses.max())
         assert peak > 0.0
         assert np.abs(switched.stresses - fixed.stresses).max() <= 0.01 * peak
+
+    def test_each_factor_logs_one_line(self, caplog):
+        """The configured and the activation factor each log their alpha,
+        build time, size and solve kernel where they are built."""
+        with caplog.at_level("INFO", logger="cohadm"):
+            fracture_run(AdmmConfig(alpha=100.0))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("factor: ")]
+        assert len(lines) == 2
+        pattern = r"factor: alpha=%s built in [0-9.]+ s, nnz=[1-9][0-9]*, kernel=transposed"
+        assert re.fullmatch(pattern % 100, lines[0])
+        assert re.fullmatch(pattern % 60, lines[1])
 
     def test_refused_activation_penalty_keeps_configured_rho(
         self, monkeypatch, caplog

@@ -9,6 +9,7 @@ from cohadm.elasticity import (
 )
 from cohadm.errors import AssemblyError
 from cohadm.mesh import BrokenMesh, InputMesh, break_mesh
+from cohadm.meshgen import porous_plate, rect_strip
 
 from oracles import cst_energy
 
@@ -41,6 +42,29 @@ def test_rigid_translation_zero_energy(soft_material, two_triangle_square):
     stiff = assemble_stiffness(bm, soft_material)
     u = np.tile([0.3, -0.7], bm.n_nodes)
     assert abs(elastic_energy(stiff, u)) < 1e-9 * soft_material.youngs_modulus
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        # the mixed_peak benchmark plate and a strip, both with non-dyadic
+        # cell sizes, on which B^T D B alone rounds asymmetrically
+        lambda: porous_plate(width=50.0, height=50.0, nx=24, ny=24, n_pores=8,
+                             pore_radius=(2.0, 4.0), min_gap=3.0, margin=4.0,
+                             seed=4),
+        lambda: rect_strip(10.0, 10.0, 6, 6),
+    ],
+    ids=["porous", "strip"],
+)
+def test_stiffness_exactly_symmetric(mesh):
+    """K equals K^T bit for bit, which the transposed solve kernel needs."""
+    K = assemble_stiffness(break_mesh(mesh()), Material(30000.0, 0.2))
+    Kt = K.T.tocsr()
+    K.sort_indices()
+    Kt.sort_indices()
+    assert np.array_equal(K.indptr, Kt.indptr)
+    assert np.array_equal(K.indices, Kt.indices)
+    assert K.data.tobytes() == Kt.data.tobytes()
 
 
 def test_unit_right_triangle_uniaxial():
