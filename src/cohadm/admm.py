@@ -7,8 +7,6 @@ Convergence is judged on pressure-normalized primal and dual residuals,
 so the tolerances are meaningful across mesh resolutions and penalty
 values. A solver's factorized operator K + rho A^T A is constant for its
 whole life; only right-hand sides change between iterations and steps.
-The driver keeps a second solver, at a lower penalty, for the step after
-a crack activation (ACTIVATION_ALPHA).
 
 The opening and multiplier updates use the over-relaxed jump
 r A u + (1 - r) delta_prev (Boyd et al., "Distributed Optimization and
@@ -66,14 +64,6 @@ RELAXATION = 1.5
 # Anderson window m: how many past iterate differences the accelerated
 # (delta, y) update combines; 0 turns acceleration off.
 ANDERSON_WINDOW = 5
-
-# Penalty scale alpha of the load step after one that activated a Gauss
-# point; the driver solves that step at min(alpha, ACTIVATION_ALPHA).
-# On the criterion-5 porous plate at alpha 100, the opening steps 4-25
-# take 1604 of 2489 iterations, against 1019 at alpha 60, while the
-# other steps do best at 100; switching after activation steps alone
-# takes 1746 iterations, with the curve within 0.14% of peak.
-ACTIVATION_ALPHA = 60.0
 
 # Stored factor entries (SuperLU.nnz) up to which a solve runs SuperLU's
 # transposed substitution, trans="T"; a larger factor keeps the default

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import ACTIVATION_ALPHA, AdmmConfig, AdmmSolver, SolverState
+from .admm import AdmmConfig, AdmmSolver, SolverState
 from .cohesive import (
     CohesiveParams,
     commit_history,
@@ -34,6 +34,14 @@ from .errors import ConfigError, ConvergenceError, OperatorMutatedError
 from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
 
 log = logging.getLogger(__name__)
+
+# Penalty scale alpha of the load step after one that activated a Gauss
+# point; that step runs at min(alpha, ACTIVATION_ALPHA). On the
+# criterion-5 porous plate at alpha 100, the opening steps 4-25 take
+# 1604 of 2489 iterations, against 1019 at alpha 60, while the other
+# steps do best at 100; switching after activation steps alone takes
+# 1746 iterations, with the curve within 0.14% of peak.
+ACTIVATION_ALPHA = 60.0
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -1,15 +1,16 @@
 """Plain-text mesh format, YAML run configuration, and CSV outputs.
 
-Mesh files have three fixed-order sections: `$Nodes` (count, then
-`id x y` with 1-based contiguous ids), `$Triangles` (count, then
-`id n1 n2 n3`), and `$NodeSets` (a set name followed by whitespace-
-separated ids, terminated by a blank line). `#` starts a comment.
-All parse failures carry the file path and line number.
+Mesh files are UTF-8 text in three fixed-order sections: `$Nodes` (count,
+then `id x y` with 1-based contiguous ids), `$Triangles` (count, then
+`id n1 n2 n3`) and `$NodeSets` (each set a name and ids, ended by a blank
+line). `#` starts a comment, blank lines may stand anywhere, and counts and
+ids are integers that fit int64. Parse failures carry the path and line.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import math
 import os
@@ -33,10 +34,88 @@ log = logging.getLogger(__name__)
 # mesh files
 # ---------------------------------------------------------------------------
 
-def _clean_lines(path):
-    """Stripped text of every line, comments removed; line k is item k - 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [raw.split("#", 1)[0].strip() for raw in fh]
+def _section_rows(path, texts, linenos, at, name, n_fields, cast):
+    """Section `name` from texts[at]: its header, count and that many rows.
+
+    Returns the rows' values without the ids, read as whole columns, and the
+    index of the next text. Only when the columns do not read are the rows
+    that exist scanned, to raise at the first faulty one or as truncated."""
+    what = name[1:-1].lower()  # "$Nodes" -> "node"
+    if at == len(texts) or texts[at] != name:
+        raise MeshParseError(path, linenos[at], f"expected section {name}")
+    at += 1
+    try:
+        count = int(texts[at])
+    except IndexError:
+        raise MeshParseError(path, linenos[at], f"missing {what} count") from None
+    except ValueError:
+        raise MeshParseError(
+            path, linenos[at], f"bad {what} count {texts[at]!r}"
+        ) from None
+    if count < 0:
+        raise MeshParseError(path, linenos[at], f"negative {what} count")
+    at += 1
+    rows = texts[at:at + count]
+    dtype = np.float64 if cast is float else np.int64
+    stride = n_fields + 1
+    # '#' never survives comment removal, so as a token it can only be the
+    # mark the join puts after each row
+    tokens = " # ".join([*rows, ""]).split()
+    if len(tokens) == stride * count and tokens[n_fields::stride] == ["#"] * count:
+        with contextlib.suppress(ValueError, OverflowError):
+            ids = np.fromiter(map(int, tokens[::stride]), np.int64, count)
+            values = np.stack([
+                np.fromiter(map(cast, tokens[j::stride]), dtype, count)
+                for j in range(1, n_fields)
+            ], axis=1)
+            if np.array_equal(ids, np.arange(1, count + 1)):
+                return values, at + count
+    for k, text in enumerate(rows):
+        lineno, parts = linenos[at + k], text.split()
+        if len(parts) != n_fields:
+            raise MeshParseError(
+                path, lineno, f"expected {n_fields} fields, got {len(parts)}"
+            )
+        try:
+            ident = int(parts[0])
+            row = [cast(v) for v in parts[1:]]
+            if ident == k + 1:  # a wrong id is named before a value beyond int64
+                np.array(row, dtype)
+        except (ValueError, OverflowError):
+            raise MeshParseError(path, lineno, f"bad {what} row {text!r}") from None
+        if ident != k + 1:
+            raise MeshParseError(
+                path, lineno, f"{what} ids must be 1-based contiguous; got {ident}"
+            )
+    raise MeshParseError(path, linenos[at + len(rows)], f"truncated {what} section")
+
+
+def _node_sets(path, texts, linenos, n_nodes) -> dict[str, np.ndarray]:
+    """The 0-based node sets in `texts`; a blank line, a gap in linenos, ends one."""
+    sets: dict[str, np.ndarray] = {}
+    starts = [k for k in range(len(texts)) if k == 0 or linenos[k] > linenos[k - 1] + 1]
+    for first, end in zip(starts, [*starts[1:], len(texts)]):
+        name, ids = texts[first].split()[0], []
+        for k in range(first, end):
+            try:  # the first line of a set starts with its name
+                ids.append([int(v) for v in texts[k].split()[k == first:]])
+            except ValueError:
+                raise MeshParseError(
+                    path, linenos[k], f"bad node id in {texts[k]!r}"
+                ) from None
+        if name in sets:
+            raise MeshParseError(path, linenos[first], f"duplicate node set {name!r}")
+        for k, line_ids in enumerate(ids, start=first):
+            if line_ids and not -2**63 <= min(line_ids) <= max(line_ids) < 2**63:
+                raise MeshParseError(path, linenos[k], f"bad node id in {texts[k]!r}")
+        ids = np.array([i for line_ids in ids for i in line_ids], dtype=np.int64)
+        if ids.size and (ids.min() < 1 or ids.max() > n_nodes):
+            raise MeshParseError(
+                path, linenos[first],
+                f"node set {name!r} references a node out of range",
+            )
+        sets[name] = ids - 1
+    return sets
 
 
 def parse_mesh(path) -> InputMesh:
@@ -46,164 +125,42 @@ def parse_mesh(path) -> InputMesh:
     failure raises MeshParseError with the offending line; a failed mesh
     check names the file's last line.
     """
-    lines = _clean_lines(path)
-    pos = 0
-    n_lines = len(lines)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        line = len((exc.object[:exc.start] + b"?").splitlines())
+        raise MeshParseError(path, line, "not UTF-8 text") from None
+    n_lines = len(lines) - (lines[-1] == "")  # a final line break adds no line
+    lines = [line.partition("#")[0].strip() for line in lines]
+    # text k is on line linenos[k]; a last lineno, past the end, marks a missing line
+    texts = list(filter(None, lines))
+    linenos = [*itertools.compress(range(1, n_lines + 1), lines), n_lines + 1]
 
-    def skip_blank():
-        nonlocal pos
-        while pos < n_lines and not lines[pos]:
-            pos += 1
-
-    def expect_section(name):
-        nonlocal pos
-        skip_blank()
-        if pos >= n_lines or lines[pos] != name:
-            raise MeshParseError(path, pos + 1, f"expected section {name}")
-        pos += 1
-
-    def read_count(what):
-        nonlocal pos
-        skip_blank()
-        if pos >= n_lines:
-            raise MeshParseError(path, n_lines + 1, f"missing {what} count")
-        text = lines[pos]
-        try:
-            count = int(text)
-        except ValueError:
-            raise MeshParseError(path, pos + 1, f"bad {what} count {text!r}") from None
-        if count < 0:
-            raise MeshParseError(path, pos + 1, f"negative {what} count")
-        pos += 1
-        return count
-
-    def read_rows(count, n_fields, cast, what):
-        """The count rows after pos as (values, line numbers).
-
-        The section is read as whole columns when its next count lines
-        are well-formed rows with ids 1..count; the row loop runs only to
-        name the line at fault.
-        """
-        nonlocal pos
-        dtype = float if cast is float else np.int64
-        block = lines[pos:pos + count]
-        # '#' never survives _clean_lines, so as a token it can only be
-        # a line break: count - 1 of them, one after every n_fields
-        # tokens, mean count lines of n_fields fields, none of them blank
-        tokens = " # ".join(block).split()
-        stride = n_fields + 1
-        if (
-            count
-            and len(tokens) == stride * count - 1
-            and tokens[n_fields::stride] == ["#"] * (count - 1)
-        ):
-            try:
-                ids = np.fromiter(map(int, tokens[::stride]), np.int64, count)
-                rows = np.stack([
-                    np.fromiter(map(cast, tokens[j::stride]), dtype, count)
-                    for j in range(1, n_fields)
-                ], axis=1)
-            except (ValueError, OverflowError):
-                pass
-            else:
-                if np.array_equal(ids, np.arange(1, count + 1)):
-                    pos += count
-                    return rows, np.arange(pos - count + 1, pos + 1)
-        rows = np.empty((count, n_fields - 1), dtype=dtype)
-        linenos = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            skip_blank()
-            if pos >= n_lines:
-                raise MeshParseError(path, n_lines + 1, f"truncated {what} section")
-            lineno, text = pos + 1, lines[pos]
-            parts = text.split()
-            if len(parts) != n_fields:
-                raise MeshParseError(
-                    path, lineno, f"expected {n_fields} fields, got {len(parts)}"
-                )
-            try:
-                ident = int(parts[0])
-                values = [cast(v) for v in parts[1:]]
-            except ValueError:
-                raise MeshParseError(path, lineno, f"bad {what} row {text!r}") from None
-            if ident != k + 1:
-                raise MeshParseError(
-                    path, lineno, f"{what} ids must be 1-based contiguous; got {ident}"
-                )
-            rows[k] = values
-            linenos[k] = lineno
-            pos += 1
-        return rows, linenos
-
-    expect_section("$Nodes")
-    n_nodes = read_count("node")
-    nodes, _ = read_rows(n_nodes, 3, float, "node")
-
-    expect_section("$Triangles")
-    n_tris = read_count("triangle")
-    tris, tri_lines = read_rows(n_tris, 4, int, "triangle")
+    nodes, at = _section_rows(path, texts, linenos, 0, "$Nodes", 3, float)
+    n_nodes = len(nodes)
+    tris, at = _section_rows(path, texts, linenos, at, "$Triangles", 4, int)
     bad = (tris < 1) | (tris > n_nodes)
     if np.any(bad):
         row = int(np.argmax(bad.any(axis=1)))
         raise MeshParseError(
-            path, int(tri_lines[row]),
+            path, linenos[at - len(tris) + row],
             f"triangle {row + 1} references node {int(tris[row][bad[row]][0])} "
             f"of {n_nodes}",
         )
     tris = tris - 1  # to 0-based
-
-    skip_blank()
-    sets: dict[str, np.ndarray] = {}
-    if pos < n_lines:
-        if lines[pos] != "$NodeSets":
-            raise MeshParseError(path, pos + 1, "expected section $NodeSets")
-        pos += 1
-        current_name = None
-        current_ids: list[int] = []
-        current_line = 0
-
-        def close_set():
-            nonlocal current_name, current_ids
-            if current_name is not None:
-                if current_name in sets:
-                    raise MeshParseError(
-                        path, current_line, f"duplicate node set {current_name!r}"
-                    )
-                ids = np.asarray(current_ids, dtype=np.int64)
-                if ids.size and (ids.min() < 1 or ids.max() > n_nodes):
-                    raise MeshParseError(
-                        path, current_line,
-                        f"node set {current_name!r} references a node out of range",
-                    )
-                sets[current_name] = ids - 1
-                current_name, current_ids = None, []
-
-        while pos < n_lines:
-            lineno, text = pos + 1, lines[pos]
-            pos += 1
-            if not text:
-                close_set()
-                continue
-            parts = text.split()
-            if current_name is None:
-                current_name = parts[0]
-                current_line = lineno
-                parts = parts[1:]
-            try:
-                current_ids.extend(int(v) for v in parts)
-            except ValueError:
-                raise MeshParseError(path, lineno, f"bad node id in {text!r}") from None
-        close_set()
+    if at < len(texts) and texts[at] != "$NodeSets":
+        raise MeshParseError(path, linenos[at], "expected section $NodeSets")
+    sets = _node_sets(path, texts[at + 1:], linenos[at + 1:-1], n_nodes)
 
     # re-orient clockwise triangles before the mesh checks its invariants
-    if n_tris:
-        areas = triangle_signed_areas(nodes, tris)
-        flipped = areas < 0
-        if np.any(flipped):
-            tris[flipped] = tris[flipped][:, [0, 2, 1]]
-            log.warning(
-                "%s: re-oriented %d clockwise triangle(s)", path, int(flipped.sum())
-            )
+    flipped = triangle_signed_areas(nodes, tris) < 0
+    if np.any(flipped):
+        tris[flipped] = tris[flipped][:, [0, 2, 1]]
+        log.warning(
+            "%s: re-oriented %d clockwise triangle(s)", path, int(flipped.sum())
+        )
     try:
         return InputMesh(nodes=nodes, triangles=tris, boundary_sets=sets)
     except MeshError as exc:
@@ -346,6 +303,8 @@ def parse_config(path) -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     sections = get_type_hints(RunConfig)

@@ -59,6 +59,16 @@ def test_info_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io:")
 
 
+def test_info_non_utf8_mesh_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.mesh"
+    write_mesh(rect_strip(1.0, 1.0, 1, 1), path)
+    path.write_bytes(path.read_bytes().replace(b"$Triangles", b"$Triangles # \xe9"))
+    assert main(["info", "--mesh", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: mesh:") and err[0].endswith("not UTF-8 text")
+
+
 def test_run_missing_mesh_exits_one(strip_inputs, tmp_path, capsys):
     _, config_path = strip_inputs
     code = main(["run", "--mesh", str(tmp_path / "none.mesh"),

@@ -466,7 +466,7 @@ class TestActivationPenalty:
     def test_second_factor_only_when_a_step_activates(
         self, soft_material, monkeypatch
     ):
-        assert admm.ACTIVATION_ALPHA == 60.0
+        assert driver.ACTIVATION_ALPHA == 60.0
         rhos = count_factors(monkeypatch)
         rigid = CohesiveParams(sigma_c=1e9, delta_c=DC, beta=1.0)
         run_quasistatic(

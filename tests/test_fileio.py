@@ -1,6 +1,6 @@
 import logging
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -203,7 +203,7 @@ class TestMeshParsing:
 
     def test_irregular_rows_read_as_the_plain_file(self, tmp_path):
         """Blank lines, comments, tabs and repeated spaces inside a section
-        take the row loop; the mesh reads the same as the plain file's."""
+        read the same as the plain file."""
         mesh = rect_strip(np.pi, np.e, 3, 2)
         plain = tmp_path / "plain.mesh"
         write_mesh(mesh, plain)
@@ -217,6 +217,65 @@ class TestMeshParsing:
         assert back.nodes.tobytes() == want.nodes.tobytes()
         assert back.triangles.tobytes() == want.triangles.tobytes()
         assert back.boundary_sets.keys() == want.boundary_sets.keys()
+
+    def test_blank_and_comment_lines_change_no_outcome(self, tmp_path):
+        """Blank and comment-only lines between the rows of $Nodes and
+        $Triangles change the outcome of no single-line deletion: the mesh
+        reads the same, or fails with the same message."""
+        lines = TWO_TRI.splitlines()
+        sets_at = lines.index("$NodeSets")
+
+        def outcome(name, file_lines):
+            path = tmp_path / name
+            path.write_text("\n".join(file_lines) + "\n")
+            try:
+                mesh = parse_mesh(path)
+            except MeshParseError as exc:
+                return exc.message
+            sets = {k: v.tobytes() for k, v in mesh.boundary_sets.items()}
+            return mesh.nodes.tobytes(), mesh.triangles.tobytes(), sets
+
+        for k in range(len(lines)):
+            head = [line for i, line in enumerate(lines[:sets_at]) if i != k]
+            tail = [line for i, line in enumerate(lines) if i >= sets_at and i != k]
+            padded = [text for line in head for text in (line, "", "  # note")]
+            assert outcome(f"p{k}.mesh", padded + tail) == outcome(
+                f"m{k}.mesh", head + tail
+            ), f"deleting line {k + 1}"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("$Nodes\n10000000000000\n1 0.0 0.0\n", 4, "truncated node section"),
+            ("$Nodes\n" + "1" * 30 + "\n1 0.0 0.0\n2 1.0 0.0\n", 5,
+             "truncated node section"),
+            (TWO_TRI.replace("2 1 3 4", "2 1 3 " + "9" * 30), 11, "bad triangle row"),
+            (TWO_TRI.replace("pin 1", "pin " + "7" * 30), 17, "bad node id"),
+        ],
+        ids=["count_1e13", "count_30_digits", "triangle_node_30_digits",
+             "set_id_30_digits"],
+    )
+    def test_oversized_number_rejected(self, tmp_path, text, line, message):
+        """A count beyond the rows left is a truncated section, and a value
+        beyond int64 a bad row or id; none allocates by the count."""
+        path = tmp_path / "big.mesh"
+        path.write_text(text)
+        with pytest.raises(MeshParseError, match=message) as err:
+            parse_mesh(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("pad", [0, 5000])
+    def test_non_utf8_names_its_line(self, tmp_path, newline, pad):
+        """The line holding the first byte that is not UTF-8, counted with
+        every line break; 5000 comment lines put it past any read buffer."""
+        text = "# pad\n" * pad + TWO_TRI
+        data = text.replace("\n", newline).encode()
+        path = tmp_path / "latin1.mesh"
+        path.write_bytes(data.replace(b"3 1.0 1.0", b"3 1.0 1.0 # caf\xe9"))
+        with pytest.raises(MeshParseError, match="not UTF-8 text") as err:
+            parse_mesh(path)
+        assert err.value.line == pad + 6
 
     @pytest.mark.parametrize("name", ["a#b", "two words", ""])
     def test_unreadable_set_name_refused(self, tmp_path, name):
@@ -236,6 +295,20 @@ class TestMeshParsing:
         """Arbitrary input never crashes: structured error or valid mesh."""
         path = tmp_path_factory.mktemp("fuzz") / "fuzz.mesh"
         path.write_text(text, encoding="utf-8")
+        try:
+            parse_mesh(path)
+        except MeshParseError:
+            pass
+
+    @given(data=st.binary(max_size=300))
+    @example(data=b"$Nodes\n10000000000000\n")
+    @example(data=b"$Nodes\n" + b"1" * 30 + b"\n")
+    @example(data=b"$Nodes\n4\n$Triangles\n10000000000000\n")
+    @settings(max_examples=150, deadline=None)
+    def test_parser_totality_over_bytes(self, tmp_path_factory, data):
+        """Arbitrary bytes, UTF-8 or not, fail cleanly or parse."""
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.mesh"
+        path.write_bytes(data)
         try:
             parse_mesh(path)
         except MeshParseError:
@@ -340,6 +413,12 @@ class TestConfigParsing:
         path = tmp_path / "c.yaml"
         path.write_text(text)
         with pytest.raises(ConfigError, match="material"):
+            parse_config(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(CONFIG.encode().replace(b"beta: 1.0", b"beta: 1.0 # \xe9"))
+        with pytest.raises(ConfigError, match="c.yaml: not UTF-8 text$"):
             parse_config(path)
 
     def test_yaml_syntax_error_carries_line(self, tmp_path):
