@@ -68,13 +68,14 @@ ANDERSON_WINDOW = 5
 # Stored factor entries (SuperLU.nnz) up to which a solve runs SuperLU's
 # transposed substitution, trans="T"; a larger factor keeps the default
 # "N". The reduced operator equals its transpose bit for bit, so both
-# solve the same system. Median ms per solve, "T" against "N", one core
-# of a 2-CPU shared Xeon host, one BLAS thread: 0.85 / 1.01 on the
-# criterion-5 porous plate (0.76M entries), 1.18 / 1.34 at 1.03M,
-# 4.49 / 5.18 at 3.73M, within noise of each other from 4.1M to 11M,
-# and 47.5 / 42.9 at 22.4M (the 30k strip). scripts/solve_kernels.py
-# re-measures the pair on one mesh.
-SMALL_FACTOR_NNZ = 4_000_000
+# solve the same system. Fastest ms per solve, "T" against "N", one core
+# of a 2-CPU shared Xeon host, one BLAS thread, node-blocked factors:
+# 0.84 / 1.07 on the criterion-5 porous plate (0.64M entries), 0.95 /
+# 1.16 at 0.89M (2k strip), 5.14 / 5.60 at 4.44M (8k strip), 6.47 / 7.31
+# at 5.68M, within noise of each other at 6.86M and 10.2M, and 40.9 /
+# 39.7 at 20.3M (the 30k strip). scripts/solve_kernels.py re-measures
+# the pair on one mesh.
+SMALL_FACTOR_NNZ = 6_000_000
 
 # SuperLU.solve's `trans` argument of each solve kernel
 SOLVE_KERNELS = {"supernodal": "N", "transposed": "T"}
@@ -172,11 +173,13 @@ class _SuperLuBackend:
     Symmetric mode with a zero pivot threshold takes every pivot from the
     diagonal, so the minimum-degree ordering of A + A^T serves as a
     symmetric elimination order; on this operator it fills far less than
-    the COLAMD ordering of a general LU. The solve kernel is chosen once,
-    from the size of the factor: `transposed` (trans="T") up to
-    SMALL_FACTOR_NNZ stored entries, `supernodal` (trans="N") above.
-    Both solve the same system only because the operator is exactly
-    symmetric.
+    the COLAMD ordering of a general LU. factorize_system hands it an
+    operator with full 2x2 node blocks, so minimum degree eliminates a
+    node's two DOFs together as one supervariable (George & Liu, SIAM
+    Review 31(1), 1989). The solve kernel is chosen once, from the size
+    of the factor: `transposed` (trans="T") up to SMALL_FACTOR_NNZ stored
+    entries, `supernodal` (trans="N") above. Both solve the same system
+    only because the operator is exactly symmetric.
     """
 
     def __init__(self, reduced: sp.csc_matrix):
@@ -243,6 +246,13 @@ def factorize_system(
     of them the Dirichlet set leaves free. The DOFs keep the caller's
     order, which `bc_values` follow by position; a repeated or
     out-of-range DOF raises ConfigError.
+
+    Every 2x2 node block the operator touches is stored whole, with the
+    x-y entries of rho A^T A that cancel to zero kept as explicit zeros.
+    The values are those of K + rho A^T A bit for bit, and the factor
+    fills 10-16% less (the README's factor paragraph). The full operator
+    is freed before the factorization, so the padding does not raise the
+    run's peak memory.
     """
     dirichlet_dofs = np.asarray(dirichlet_dofs, dtype=np.int64)
     n_dof = K.shape[0]
@@ -262,12 +272,16 @@ def factorize_system(
 
     M = (K + rho * (A.T @ A)).tocsr()
     M.sum_duplicates()
+    # the round trip through BSR stores each node block whole, with the
+    # entries that cancelled to zero as explicit zeros
+    M = M.tobsr(blocksize=(2, 2)).tocsr()
     mask = np.ones(n_dof, dtype=bool)
     mask[dirichlet_dofs] = False
     free = np.flatnonzero(mask)
     free_rows = M[free]
     reduced = free_rows[:, free].tocsc()
     coupling = free_rows[:, dirichlet_dofs].tocsr()
+    del M, free_rows    # the padded copy must not live through splu
 
     backend = None
     if len(free):

@@ -289,16 +289,42 @@ def _read_section(data: dict, name: str, cls):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping, which
+    `yaml.safe_load` would let replace the earlier value silently."""
+
+    def __init__(self, stream, path):
+        super().__init__(stream)
+        self.path = path
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode):
+                continue    # an unhashable key is the base class's error
+            key = self.construct_object(key_node)
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"{self.path}:{line}: repeated key '{key}'")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
     Each section of RunConfig is read from its dataclass's fields, so the
-    defaults are the dataclasses' own. Syntax errors carry the YAML line
-    number; invariant violations name the offending section or dotted key.
+    defaults are the dataclasses' own. Syntax errors and repeated keys
+    carry the YAML line number; invariant violations name the offending
+    section or dotted key.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            loader = _ConfigLoader(fh, path)
+            try:
+                data = loader.get_single_data()
+            finally:
+                loader.dispose()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)

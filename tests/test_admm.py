@@ -165,6 +165,58 @@ class TestFactorize:
         for u in (a, b):
             assert np.abs(u - dense).max() <= 1e-10 * size
 
+    def test_operator_stores_node_blocks(self, params, monkeypatch):
+        """The reduced operator stores every 2x2 node block it touches,
+        cancelled x-y entries as explicit zeros, so minimum degree orders
+        whole nodes and fills less; its values are those of K + rho A'A."""
+        mesh = porous_plate(
+            width=50.0, height=50.0, nx=32, ny=32, n_pores=8,
+            pore_radius=(2.0, 4.0), min_gap=3.0, margin=4.0, seed=4,
+        )
+        material = Material(youngs_modulus=30000.0, poisson_ratio=0.2,
+                            mode="plane_stress", thickness=1.0)
+        factored = []
+        backend = admm._SuperLuBackend
+
+        def recording(reduced):
+            factored.append(reduced)
+            return backend(reduced)
+
+        monkeypatch.setattr(admm, "_SuperLuBackend", recording)
+        bm, jump, stiffness, solver, dirichlet = make_solver(
+            mesh, material, params, AdmmConfig(alpha=100.0),
+            [("left", "x"), ("pin", "y")],
+        )
+        (reduced,) = factored
+        free = solver.fact.free
+        n_dof = bm.n_dof
+
+        coo = reduced.tocoo()
+        rows, cols = free[coo.row], free[coo.col]
+        stored = rows * n_dof + cols
+        on_free = np.zeros(n_dof, dtype=bool)
+        on_free[free] = True
+        for dr in (0, 1):
+            for dc in (0, 1):
+                r = 2 * (rows // 2) + dr
+                c = 2 * (cols // 2) + dc
+                inside = on_free[r] & on_free[c]
+                assert np.isin(r[inside] * n_dof + c[inside], stored).all()
+        assert (coo.data == 0).any()
+
+        M = (stiffness + solver.rho * (jump.A.T @ jump.A)).tocsr()
+        unpadded = M[free][:, free].tocsc()
+        unpadded.sort_indices()
+        values = reduced.copy()
+        values.eliminate_zeros()
+        values.sort_indices()
+        unpadded.eliminate_zeros()
+        assert np.array_equal(values.indptr, unpadded.indptr)
+        assert np.array_equal(values.indices, unpadded.indices)
+        assert np.array_equal(values.data, unpadded.data)
+
+        assert solver.fact.backend.nnz <= 0.9 * backend(unpadded).nnz
+
     def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
         bm = break_mesh(two_triangle_square)
         jump = build_jump_operator(bm)

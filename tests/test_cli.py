@@ -170,7 +170,7 @@ def test_solve_kernels_script(walkthrough_inputs, capsys):
         assert re.fullmatch(
             rf"{kernel} [0-9.e+-]+ ms \(trans=[NT], median of 2 rounds\)", line
         )
-    assert lines[3] == "picks transposed (SMALL_FACTOR_NNZ 4000000)"
+    assert lines[3] == "picks transposed (SMALL_FACTOR_NNZ 6000000)"
 
 
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
@@ -224,6 +224,17 @@ def test_run_bad_config_exits_one(strip_inputs, tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_run_repeated_config_key_exits_one(strip_inputs, tmp_path, capsys):
+    mesh_path, config_path = strip_inputs
+    text = config_path.read_text()
+    config_path.write_text(text.replace("alpha: 100.0", "alpha: 100.0\n  alpha: 60.0"))
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "dup")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: config: {config_path}:11: repeated key 'alpha'"]
 
 
 def test_run_non_finite_tolerance_exits_one(strip_inputs, tmp_path, capsys):

@@ -408,6 +408,19 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=message):
                 parse_config(path)
 
+    def test_repeated_section_key_rejected(self, tmp_path):
+        """safe_load would keep the last value: here alpha 60."""
+        path = tmp_path / "c.yaml"
+        path.write_text(CONFIG.replace("alpha: 100.0", "alpha: 100.0\n  alpha: 60.0"))
+        with pytest.raises(ConfigError, match=r"c\.yaml:12: repeated key 'alpha'$"):
+            parse_config(path)
+
+    def test_repeated_top_level_section_rejected(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(CONFIG + "admm: {alpha: 60.0}\n")
+        with pytest.raises(ConfigError, match=r"c\.yaml:30: repeated key 'admm'$"):
+            parse_config(path)
+
     def test_invalid_value_names_section(self, tmp_path):
         text = CONFIG.replace("youngs_modulus: 3000.0", "youngs_modulus: -3.0")
         path = tmp_path / "c.yaml"
