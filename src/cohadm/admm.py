@@ -212,21 +212,20 @@ class Factorization:
     coupling: sp.csr_matrix        # rows free, columns fixed
 
     def solve(
-        self, g: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray
+        self, b: np.ndarray, bc_values: np.ndarray, lifted: np.ndarray
     ) -> np.ndarray:
-        """Minimizer of (1/2) u'Mu + g'u with u = bc_values on the fixed
-        DOFs: the solution of M u = -g on the free ones.
+        """The u with u = bc_values on the fixed DOFs and M u = b on the
+        free ones: the minimizer of (1/2) u'Mu - b'u.
 
-        `lifted` is `coupling @ bc_values`, the same for every g solved
+        `lifted` is `coupling @ bc_values`, the same for every b solved
         at these boundary values.
         """
         u = np.empty(len(self.free) + len(self.fixed))
         u[self.fixed] = bc_values
         if self.backend is None:
             return u
-        reduced = g[self.free]
-        reduced += lifted
-        np.negative(reduced, out=reduced)
+        reduced = b[self.free]
+        reduced -= lifted
         u[self.free] = self.backend.solve(reduced)
         return u
 
@@ -251,8 +250,8 @@ def factorize_system(
     x-y entries of rho A^T A that cancel to zero kept as explicit zeros.
     The values are those of K + rho A^T A bit for bit, and the factor
     fills 10-16% less (the README's factor paragraph). The full operator
-    is freed before the factorization, so the padding does not raise the
-    run's peak memory.
+    is built once, in CSR, and is freed before the factorization, which
+    reads the free-free block's arrays as they are.
     """
     dirichlet_dofs = np.asarray(dirichlet_dofs, dtype=np.int64)
     n_dof = K.shape[0]
@@ -270,18 +269,13 @@ def factorize_system(
     if n_rigid > 0:
         raise SingularSystemError(n_rigid)
 
-    M = (K + rho * (A.T @ A)).tocsr()
-    M.sum_duplicates()
-    # the round trip through BSR stores each node block whole, with the
-    # entries that cancelled to zero as explicit zeros
-    M = M.tobsr(blocksize=(2, 2)).tocsr()
     mask = np.ones(n_dof, dtype=bool)
     mask[dirichlet_dofs] = False
     free = np.flatnonzero(mask)
-    free_rows = M[free]
-    reduced = free_rows[:, free].tocsc()
-    coupling = free_rows[:, dirichlet_dofs].tocsr()
-    del M, free_rows    # the padded copy must not live through splu
+    # no name holds the full operator, so _reduce can free it
+    reduced, coupling = _reduce(
+        _node_block_operator(K, A, rho), mask, dirichlet_dofs
+    )
 
     backend = None
     if len(free):
@@ -295,12 +289,72 @@ def factorize_system(
     )
 
 
+def _node_block_operator(
+    K: sp.spmatrix, A: sp.spmatrix, rho: float
+) -> sp.csr_matrix:
+    """K + rho A^T A in canonical CSR, every node block stored whole.
+
+    The product and the sum run on 2x2 blocks, so the x-y entries of
+    rho A^T A that cancel to zero stay stored; a block drops out only
+    when all four of its entries are zero. Each entry sums the same
+    products in the same order as scipy's CSR product and sum, so the
+    values are theirs bit for bit.
+    """
+    A_blocks = A.tobsr(blocksize=(2, 2))
+    # the product is symmetric entry for entry, so its transpose is the
+    # product itself, with the blocks of each row in sorted order
+    AtA = (A_blocks.T @ A_blocks).T
+    AtA.data *= rho
+    return (K.tobsr(blocksize=(2, 2)) + AtA).tocsr()
+
+
+def _reduce(M: sp.csr_matrix, free_mask: np.ndarray, fixed: np.ndarray):
+    """Split the free rows of the canonical CSR M by column.
+
+    Returns the free-free block, as CSC arrays for SuperLU, and the
+    free-fixed coupling as CSR with columns numbered by position in
+    `fixed`. The CSC arrays are the CSR arrays of the free-free block
+    itself: M equals its transpose bit for bit, and so does that block.
+    Within each row the coupling keeps M's column order.
+    """
+    rows = M[free_mask]
+    del M       # the full operator must not live through the split
+    n_free = rows.shape[0]
+    index = rows.indices.dtype
+    column = np.empty(len(free_mask), dtype=index)
+    column[free_mask] = np.arange(n_free, dtype=index)
+    column[fixed] = np.arange(len(fixed), dtype=index)
+    keep = free_mask[rows.indices]
+    # the few entries in fixed columns, and how many precede each row
+    moved = np.flatnonzero(~keep)
+    moved_before = np.searchsorted(moved, rows.indptr).astype(index)
+    reduced = sp.csc_matrix(
+        (rows.data[keep], column[rows.indices[keep]], rows.indptr - moved_before),
+        shape=(n_free, n_free),
+    )
+    reduced.has_canonical_format = True
+    coupling = sp.csr_matrix(
+        (rows.data[moved], column[rows.indices[moved]], moved_before),
+        shape=(n_free, len(fixed)),
+    )
+    return reduced, coupling
+
+
 def multiplier_update(y: np.ndarray, rho: float, au: np.ndarray, delta: np.ndarray):
     """Dual ascent y + rho (A u - delta); no clipping.
 
     run_step passes the over-relaxed jump as `au`.
     """
     return y + rho * (au - delta)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """Infinity norm of v without an |v| temporary; 0 when v is empty.
+
+    max and min propagate NaN, and adding 0.0 turns the -0.0 that an
+    all-zero v can give into 0.0.
+    """
+    return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0))) + 0.0
 
 
 class _Anderson:
@@ -422,15 +476,16 @@ class AdmmSolver:
 
     The solver holds only what is fixed for its life: the CSR stiffness
     K it was given, the penalty, checked here before the factorization,
-    the factor of K + rho A^T A, A^T stored as CSR, and the residual
-    buffers. What is fixed for one load step, because the damage history
-    and the boundary values are frozen while it iterates, run_step builds
-    as locals and passes to the updates: coupling @ bc_values and the
-    LocalSolveContext. A step only solves: it reads the damage history it
-    is given and returns the converged state, and the caller commits that
-    history and takes the reaction (`reaction`) on the nodes it chooses.
-    The Anderson differences are the one thing carried from step to step,
-    and only while the damage history is unchanged.
+    the factor of K + rho A^T A, the jump's CSR transpose A_t, which a
+    second solver on the same jump shares, and the residual buffers.
+    What is fixed for one load step, because the damage history and the
+    boundary values are frozen while it iterates, run_step builds as
+    locals and passes to the updates: coupling @ bc_values and the
+    LocalSolveContext. A step only solves: it reads the damage history
+    it is given and returns the converged state, and the caller commits
+    that history and takes the reaction (`reaction`) on the nodes it
+    chooses. The Anderson differences are the one thing carried from
+    step to step, and only while the damage history is unchanged.
     Exclusive access is assumed while run_step executes; the underlying
     matrices are immutable and may be shared across threads.
     """
@@ -462,9 +517,8 @@ class AdmmSolver:
         )
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
-        # CSR rows of A^T sum in the order of a CSC product with A.T
-        self._a_t = jump.A.T.tocsr()
-        self._drive = np.empty(2 * jump.n_points)      # y - rho delta
+        self._a_t = jump.A_t
+        self._drive = np.empty(2 * jump.n_points)      # rho delta - y
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)
         self._anderson = None
@@ -488,9 +542,10 @@ class AdmmSolver:
         """
         h = hashlib.sha256()
         for m in (self.K, self.jump.A):
-            h.update(m.indptr.tobytes())
-            h.update(m.indices.tobytes())
-            h.update(m.data.tobytes())
+            # the contiguous arrays are hashed in place, not copied
+            h.update(m.indptr)
+            h.update(m.indices)
+            h.update(m.data)
         return h.hexdigest()
 
     def u_update(
@@ -502,10 +557,11 @@ class AdmmSolver:
     ) -> np.ndarray:
         """Global quadratic minimization at fixed openings and multipliers.
 
-        `lifted` is `fact.coupling @ bc_values`.
+        `lifted` is `fact.coupling @ bc_values`. The minimizer solves
+        M u = A^T (rho delta - y) on the free DOFs.
         """
         drive = np.multiply(delta, self.rho, out=self._drive)
-        np.subtract(y, drive, out=drive)
+        np.subtract(drive, y, out=drive)
         return self.fact.solve(self._a_t @ drive, bc_values, lifted)
 
     def delta_update(
@@ -522,7 +578,8 @@ class AdmmSolver:
         self, au: np.ndarray, delta: np.ndarray, delta_prev: np.ndarray
     ) -> tuple[float, float]:
         """Infinity norms of the pressure-normalized primal and dual
-        residuals: element-wise division by effective areas."""
+        residuals: element-wise division by effective areas. A NaN
+        residual gives a NaN norm."""
         r = np.subtract(au, delta, out=self._primal)
         r *= self.rho
         r /= self._areas2
@@ -530,7 +587,7 @@ class AdmmSolver:
         jump_step /= self._areas2
         s = self._a_t @ jump_step
         s *= self.rho
-        return float(np.abs(r).max(initial=0.0)), float(np.abs(s).max(initial=0.0))
+        return _max_abs(r), _max_abs(s)
 
     def reaction(self, state: SolverState, nodes: np.ndarray) -> np.ndarray:
         """Summed internal force (Fx, Fy) on `nodes` in `state`."""

@@ -297,9 +297,11 @@ def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
     With equal mixity the minimizer is radial along (max(p_n, 0), p_s),
     and the radial derivative of the objective is continuous and
     strictly increasing, so exactly one branch stationary point is
-    admissible: the unloading secant when it lands below the damage
-    history, the flat failed branch when p exceeds rho delta_c, the
-    loading wedge otherwise.
+    admissible: the unloading secant when the drive is at most the
+    unload limit, the flat failed branch when it exceeds rho delta_c,
+    the loading wedge otherwise. A pristine point needs no branch of its
+    own: its secant is infinite and its unload limit is a sigma_c, so a
+    drive it cannot open under lands on the secant at zero opening.
 
     Only the points that may open are solved. The computed drive
     hypot(pn_pos, ps) is within a few ulp of the exact norm, which is
@@ -312,29 +314,27 @@ def _solve_equal_mixity(local: LocalSolveContext, pn_pos, ps):
     # every point not proven closed, NaN drives included
     i = np.flatnonzero(~(pn_pos + np.abs(ps) <= local.sure_closed))
     if len(i):
-        a_sc = local.a_sc[i]
         drive = np.hypot(pn_pos[i], ps[i])
-        closed = local.pristine[i] & (drive <= a_sc)
         with np.errstate(invalid="ignore"):
             d_unload = drive / local.secant[i]
-        unloads = drive <= local.unload_limit[i]
         d = np.where(
-            local.damaged[i] & unloads,
+            drive <= local.unload_limit[i],
             d_unload,
             np.where(
                 drive >= _rows(local.rho_dc, i),
                 drive / _rows(local.rho, i),
                 np.clip(
-                    (drive - a_sc) / local.softening[i],
+                    (drive - local.a_sc[i]) / local.softening[i],
                     0.0, local.params.delta_c,
                 ),
             ),
         )
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale_i = np.where(drive > 0.0, d / drive, 0.0)
-        scale_i[closed] = 0.0
-        scale[i] = scale_i
-    return np.stack([pn_pos * scale, ps * scale], axis=1)
+            scale[i] = np.where(drive > 0.0, d / drive, 0.0)
+    delta = np.empty((len(ps), 2))
+    np.multiply(pn_pos, scale, out=delta[:, 0])
+    np.multiply(ps, scale, out=delta[:, 1])
+    return delta
 
 
 def _rows(v, i):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import BrokenMesh, JumpOperator, triangle_signed_areas
+from .mesh import BrokenMesh, JumpOperator, csr_index_dtype, triangle_signed_areas
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,22 @@ def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     return B, area
 
 
+def element_stiffness(mesh: BrokenMesh, mat: Material) -> np.ndarray:
+    """(m, 6, 6) CST element blocks B'DB a t, exactly symmetric.
+
+    Each block is in the DOF order (u0x, u0y, u1x, u1y, u2x, u2y) of its
+    triangle. Raises AssemblyError for degenerate (non-positive area)
+    elements.
+    """
+    B, area = element_b_matrices(mesh.nodes, mesh.triangles)
+    ke = B.transpose(0, 2, 1) @ (mat.d_matrix() @ B)
+    ke *= (area * mat.thickness)[:, None, None]
+    # B^T D B rounds differently above and below the diagonal; each
+    # (i, j) entry comes from one element (private nodes), so averaging
+    # the block with its transpose makes K exactly symmetric
+    return 0.5 * (ke + ke.transpose(0, 2, 1))
+
+
 def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
     """Assemble the global CST stiffness K on the broken mesh.
 
@@ -95,25 +111,26 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
     constant-strain triangles. Raises AssemblyError for degenerate
     (non-positive area) elements.
 
-    K equals its transpose bit for bit, so a transposed solve with a
-    factor of K + rho A^T A solves the same system (admm.SMALL_FACTOR_NNZ).
+    Triangle t owns private nodes 3t..3t+2 and so DOFs 6t..6t+5: row
+    6t + i of K is row i of the element block, and the blocks laid end
+    to end are K's canonical CSR arrays, with no sort or sum. K equals
+    its transpose bit for bit, so a transposed solve with a factor of
+    K + rho A^T A solves the same system (admm.SMALL_FACTOR_NNZ).
     """
-    B, area = element_b_matrices(mesh.nodes, mesh.triangles)
-    D = mat.d_matrix()
-    ke = np.einsum("eji,jk,ekl->eil", B, D, B) * (area * mat.thickness)[:, None, None]
-    # B^T D B rounds differently above and below the diagonal; each
-    # (i, j) entry comes from one element (private nodes), so averaging
-    # the block with its transpose makes K exactly symmetric
-    ke = 0.5 * (ke + ke.transpose(0, 2, 1))
-
-    dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.triangles
-    dofs[:, 1::2] = 2 * mesh.triangles + 1
-    rows = np.repeat(dofs, 6, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, 6)).reshape(-1)
-    return sp.coo_matrix(
-        (ke.reshape(-1), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof)
-    ).tocsr()
+    ke = element_stiffness(mesh, mat)
+    n_dof = mesh.n_dof
+    index = csr_index_dtype(n_dof, ke.size)
+    dofs = np.arange(n_dof, dtype=index).reshape(-1, 1, 6)
+    K = sp.csr_matrix(
+        (
+            ke.reshape(-1),
+            np.broadcast_to(dofs, ke.shape).reshape(-1),
+            np.arange(0, ke.size + 1, 6, dtype=index),
+        ),
+        shape=(n_dof, n_dof),
+    )
+    K.has_canonical_format = True
+    return K
 
 
 def elastic_energy(K: sp.csr_matrix, u: np.ndarray) -> float:
@@ -126,16 +143,6 @@ def elastic_energy(K: sp.csr_matrix, u: np.ndarray) -> float:
     return 0.5 * float(u @ (K @ u))
 
 
-def internal_force(K: sp.csr_matrix, jump: JumpOperator, rho: float, state):
-    """Gradient of the augmented Lagrangian with respect to u.
-
-    ``K u + A^T (y + rho (A u - delta))``: zero on free DOFs at a
-    converged step, the reaction on constrained DOFs.
-    """
-    au = jump.A @ state.u
-    return K @ state.u + jump.A.T @ (state.y + rho * (au - state.delta))
-
-
 def reaction_force(
     K: sp.csr_matrix,
     jump: JumpOperator,
@@ -144,6 +151,13 @@ def reaction_force(
     node_set,
 ) -> np.ndarray:
     """Reaction force 2-vector summed over the (private) node set.
+
+    The internal force is the gradient of the augmented Lagrangian,
+    K u + A^T (y + rho (A u - delta)): zero on free DOFs at a converged
+    step, the reaction on constrained ones. Only its rows at the node
+    set are formed, from v = y + rho (A u - delta) at the Gauss points
+    those rows reach, so the cost grows with the node set, not the mesh.
+    Each row equals that of the full product bit for bit.
 
     Parameters
     ----------
@@ -156,7 +170,12 @@ def reaction_force(
     node_set = np.asarray(node_set, dtype=np.int64)
     if node_set.size == 0:
         raise ValueError("reaction node set is empty")
-    f = internal_force(K, jump, rho, state)
-    return np.array(
-        [f[2 * node_set].sum(), f[2 * node_set + 1].sum()]
-    )
+    rows = np.concatenate([2 * node_set, 2 * node_set + 1])
+    a_t = jump.A_t[rows]
+    points = np.unique(a_t.indices)
+    v = np.zeros(jump.A.shape[0])
+    au = jump.A[points] @ state.u
+    v[points] = state.y[points] + rho * (au - state.delta[points])
+    f = K[rows] @ state.u + a_t @ v
+    n = len(node_set)
+    return np.array([f[:n].sum(), f[n:].sum()])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +27,12 @@ _EDGE_LOCAL = np.array([[0, 1], [1, 2], [2, 0]])
 # Gauss points per interface edge: two integrate the linear jump fields
 # of 3-node triangles exactly
 GAUSS_PER_EDGE = 2
+
+
+def csr_index_dtype(*sizes: int) -> type:
+    """Index dtype of a sparse matrix whose dimensions and entry count are
+    `sizes`: int32 when they all fit, as scipy itself would choose."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 def triangle_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -237,6 +244,16 @@ class JumpOperator:
     areas: np.ndarray
     points: np.ndarray
 
+    @cached_property
+    def A_t(self) -> sp.csr_matrix:
+        """A^T as CSR, built on first use and shared by its readers.
+
+        Row i sums over the Gauss-point rows of A in ascending order,
+        the order of a CSC product with A.T, so a product with a row of
+        A_t equals the same entry of A.T @ v bit for bit.
+        """
+        return self.A.T.tocsr()
+
     @property
     def n_points(self) -> int:
         return len(self.areas)
@@ -286,30 +303,37 @@ def build_jump_operator(mesh: BrokenMesh, thickness: float = 1.0) -> JumpOperato
     points = P[:, None, :] + s[None, :, None] * vec[:, None, :]  # (E, g, 2)
     areas = (w[None, :] * lengths[:, None] * thickness).reshape(-1)
 
-    # per Gauss point: 4 contributing nodes with signed shape weights
+    # per Gauss point: the 4 nodes of both sides with their signed shape
+    # weights, in ascending node order. The minus triangle has the lower
+    # id, so its private nodes number below the plus side's; each side's
+    # pair is put in order by one comparison, its weights swapped with it.
     shape = np.stack([1.0 - s, s], axis=1)                 # (g, 2)
-    cols_nodes = np.concatenate([p_nodes, m_nodes], axis=1)  # (E, 4)
-    signs = np.array([1.0, 1.0, -1.0, -1.0])
-    weights = np.concatenate([shape, shape], axis=1) * signs  # (g, 4)
+    orders = np.stack([shape, shape[:, ::-1]])             # (2, g, 2)
+    side_nodes, side_weights = [], []
+    for pair, sign in ((m_nodes, -1.0), (p_nodes, 1.0)):
+        swap = pair[:, 0] > pair[:, 1]
+        side_nodes.append(np.where(swap[:, None], pair[:, ::-1], pair))
+        side_weights.append(sign * orders[swap.astype(np.intp)])
+    cols_nodes = np.concatenate(side_nodes, axis=1)        # (E, 4)
+    weights = np.concatenate(side_weights, axis=2)         # (E, g, 4)
 
-    # rows: (E, g, 2, 4, 2) -> flattened COO triplets
-    gp_index = np.arange(n_points).reshape(n_edges, GAUSS_PER_EDGE)  # (E, g)
+    # row (point, component) holds its 8 entries in ascending column order:
+    # (E, g, row_comp, node, xy) flattens straight into canonical CSR
     frame = np.stack([normals, tangents], axis=1)          # (E, 2, 2)
-    data = (
-        weights[None, :, None, :, None] * frame[:, None, :, None, :]
-    )  # (E, g, row_comp, node, xy)
-    rows = np.broadcast_to(
-        (2 * gp_index)[:, :, None, None, None] + np.arange(2)[None, None, :, None, None],
-        data.shape,
+    data = weights[:, :, None, :, None] * frame[:, None, :, None, :]
+    index = csr_index_dtype(mesh.n_dof, data.size)
+    cols = (2 * cols_nodes.astype(index))[:, None, None, :, None] + np.arange(
+        2, dtype=index
     )
-    cols = np.broadcast_to(
-        (2 * cols_nodes)[:, None, None, :, None] + np.arange(2)[None, None, None, None, :],
-        data.shape,
-    )
-    A = sp.coo_matrix(
-        (data.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+    A = sp.csr_matrix(
+        (
+            data.reshape(-1),
+            np.broadcast_to(cols, data.shape).reshape(-1),
+            np.arange(0, data.size + 1, 2 * cols_nodes.shape[1], dtype=index),
+        ),
         shape=(2 * n_points, mesh.n_dof),
-    ).tocsr()
+    )
+    A.has_canonical_format = True
 
     return JumpOperator(
         A=A,

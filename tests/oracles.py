@@ -1,10 +1,14 @@
 """Independent reference computations used to verify the package.
 
 Everything here is written from first principles with plain loops and
-dense algebra so it shares no code path with the production solver.
+dense algebra so it shares no code path with the production solver,
+except the references at the end: they build the solver's operators
+through scipy's general COO and CSR routines, so a test can check bit
+for bit what the package lays out directly.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def d_matrix(E, nu, mode):
@@ -77,3 +81,70 @@ def reaction_on(K, u, node_ids):
     f = K @ u
     node_ids = np.asarray(node_ids)
     return np.array([f[2 * node_ids].sum(), f[2 * node_ids + 1].sum()])
+
+
+def coo_stiffness(mesh, material):
+    """The broken-mesh stiffness scattered through COO triplets.
+
+    Takes the production element blocks and places them by the mesh's
+    own triangle table, so it checks the layout `assemble_stiffness`
+    writes directly, not the element arithmetic.
+    """
+    from cohadm.elasticity import element_stiffness
+
+    ke = element_stiffness(mesh, material)
+    dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    rows = np.repeat(dofs, 6, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, 6)).reshape(-1)
+    return sp.coo_matrix(
+        (ke.reshape(-1), (rows, cols)), shape=(mesh.n_dof, mesh.n_dof)
+    ).tocsr()
+
+
+def coo_jump_operator(mesh):
+    """The jump operator A through COO triplets, one per (Gauss point,
+    component, node, axis), with each edge's nodes in the order plus
+    side then minus side, as the interface table gives them."""
+    from cohadm.mesh import gauss_rule
+
+    edge_local = np.array([[0, 1], [1, 2], [2, 0]])
+    minus_tri, minus_edge, plus_tri, plus_edge = mesh.interfaces.T
+    n_edges = len(minus_tri)
+    s, _ = gauss_rule(2)
+    m_nodes = mesh.triangles[minus_tri[:, None], edge_local[minus_edge]]
+    p_nodes = mesh.triangles[plus_tri[:, None], edge_local[plus_edge, ::-1]]
+    vec = mesh.nodes[m_nodes[:, 1]] - mesh.nodes[m_nodes[:, 0]]
+    tangents = vec / np.hypot(vec[:, 0], vec[:, 1])[:, None]
+    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    frame = np.stack([normals, tangents], axis=1)              # (E, 2, 2)
+    shape = np.stack([1.0 - s, s], axis=1)                     # (g, 2)
+    weights = np.concatenate([shape, -shape], axis=1)          # (g, 4)
+    nodes = np.concatenate([p_nodes, m_nodes], axis=1)         # (E, 4)
+    data = weights[None, :, None, :, None] * frame[:, None, :, None, :]
+    point = np.arange(2 * n_edges).reshape(n_edges, 2)
+    rows = 2 * point[:, :, None, None, None] + np.arange(2)[:, None, None]
+    cols = 2 * nodes[:, None, None, :, None] + np.arange(2)
+    rows, cols = np.broadcast_arrays(rows, cols)
+    return sp.coo_matrix(
+        (data.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+        shape=(4 * n_edges, mesh.n_dof),
+    ).tocsr()
+
+
+def internal_force(K, A, rho, state):
+    """K u + A^T (y + rho (A u - delta)) over every DOF, from whole-matrix
+    products with the CSC transpose of A."""
+    au = A @ state.u
+    return K @ state.u + A.T @ (state.y + rho * (au - state.delta))
+
+
+def assert_same_csr(got, want):
+    """Same CSR arrays bit for bit: row pointers, column indices with
+    their dtype, and values, explicit zeros and signs of zero included."""
+    assert got.format == want.format == "csr"
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()

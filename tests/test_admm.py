@@ -24,7 +24,7 @@ from cohadm.errors import ConfigError, ConvergenceError, SingularSystemError
 from cohadm.mesh import JumpOperator, break_mesh, build_jump_operator
 from cohadm.meshgen import porous_plate, rect_strip
 
-from oracles import conforming_solve
+from oracles import conforming_solve, internal_force
 
 SC, DC = 3.0, 0.02287
 
@@ -117,14 +117,14 @@ class TestFactorize:
         fact = factorize_system(stiffness, jump.A, rho, dirichlet, bm.nodes)
         M = (stiffness + rho * (jump.A.T @ jump.A)).toarray()
         rng = np.random.default_rng(0)
-        g = rng.normal(size=bm.n_dof)
+        rhs = rng.normal(size=bm.n_dof)
         bc = rng.normal(size=len(dirichlet)) * 0.01
-        u = fact.solve(g, bc, fact.coupling @ bc)
+        u = fact.solve(rhs, bc, fact.coupling @ bc)
         free = np.setdiff1d(np.arange(bm.n_dof), dirichlet)
         dense = np.zeros(bm.n_dof)
         dense[dirichlet] = bc
         dense[free] = np.linalg.solve(
-            M[np.ix_(free, free)], -g[free] - M[np.ix_(free, dirichlet)] @ bc
+            M[np.ix_(free, free)], rhs[free] - M[np.ix_(free, dirichlet)] @ bc
         )
         assert np.allclose(u, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
 
@@ -144,20 +144,20 @@ class TestFactorize:
         assert (M != M.T).nnz == 0
         dirichlet = bm.dofs_of(mesh.boundary_sets["left"], "xy")
         rng = np.random.default_rng(3)
-        g = rng.normal(size=bm.n_dof)
+        rhs = rng.normal(size=bm.n_dof)
         bc = rng.normal(size=len(dirichlet)) * 0.01
         solutions = {}
         for limit, kernel in ((0, "supernodal"), (10**12, "transposed")):
             monkeypatch.setattr(admm, "SMALL_FACTOR_NNZ", limit)
             fact = factorize_system(stiffness, jump.A, rho, dirichlet, bm.nodes)
             assert fact.backend.kernel == kernel
-            solutions[kernel] = fact.solve(g, bc, fact.coupling @ bc)
+            solutions[kernel] = fact.solve(rhs, bc, fact.coupling @ bc)
         free = fact.free
         dense = np.empty(bm.n_dof)
         dense[dirichlet] = bc
         Md = M.toarray()
         dense[free] = np.linalg.solve(
-            Md[np.ix_(free, free)], -g[free] - Md[np.ix_(free, dirichlet)] @ bc
+            Md[np.ix_(free, free)], rhs[free] - Md[np.ix_(free, dirichlet)] @ bc
         )
         size = np.abs(dense).max()
         a, b = solutions["supernodal"], solutions["transposed"]
@@ -217,6 +217,41 @@ class TestFactorize:
 
         assert solver.fact.backend.nnz <= 0.9 * backend(unpadded).nnz
 
+    def test_reduced_operator_is_canonical_symmetric_csc(self, soft_material, monkeypatch):
+        """SuperLU receives the reduced CSR arrays as a CSC matrix: sorted
+        and free of duplicates in every column, and equal to its own
+        transpose bit for bit, so it is the free-free block either way."""
+        mesh = porous_plate(
+            width=10.0, height=10.0, nx=8, ny=8, n_pores=2,
+            pore_radius=(1.0, 1.5), min_gap=1.0, margin=1.5, seed=4,
+        )
+        bm = break_mesh(mesh)
+        jump = build_jump_operator(bm)
+        stiffness = assemble_stiffness(bm, soft_material)
+        factored = []
+        backend = admm._SuperLuBackend
+
+        def recording(reduced):
+            factored.append(reduced)
+            return backend(reduced)
+
+        monkeypatch.setattr(admm, "_SuperLuBackend", recording)
+        dirichlet = np.concatenate([
+            bm.dofs_of(mesh.boundary_sets["left"], "x"),
+            bm.dofs_of(mesh.boundary_sets["pin"], "y"),
+        ])
+        fact = factorize_system(stiffness, jump.A, 500.0, dirichlet, bm.nodes)
+        (reduced,) = factored
+        assert reduced.format == "csc"
+        assert reduced.shape == (len(fact.free),) * 2
+        # a matrix built from the bare arrays checks their format afresh
+        arrays = (reduced.data, reduced.indices, reduced.indptr)
+        assert sp.csc_matrix(arrays, shape=reduced.shape).has_canonical_format
+        transpose = reduced.T.tocsc()     # a CSC conversion sorts
+        assert np.array_equal(transpose.indptr, reduced.indptr)
+        assert np.array_equal(transpose.indices, reduced.indices)
+        assert transpose.data.tobytes() == reduced.data.tobytes()
+
     def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
         bm = break_mesh(two_triangle_square)
         jump = build_jump_operator(bm)
@@ -239,6 +274,21 @@ class TestFactorize:
             two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
         )
         assert solver.checksum() == solver.checksum()
+
+    def test_checksum_digests_the_array_bytes(
+        self, two_triangle_square, soft_material, params
+    ):
+        """Hashing the arrays in place gives the digest of their bytes."""
+        import hashlib
+
+        _, jump, stiffness, solver, _ = make_solver(
+            two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
+        )
+        h = hashlib.sha256()
+        for m in (stiffness, jump.A):
+            for array in (m.indptr, m.indices, m.data):
+                h.update(array.tobytes())
+        assert solver.checksum() == h.hexdigest()
 
 
 class TestUUpdate:
@@ -435,6 +485,54 @@ class TestConvergenceCheck:
         primal, dual = AdmmSolver.check_convergence(fake, au, delta, delta.copy())
         assert primal == pytest.approx(0.2)
         assert dual == 0.0
+
+    def test_zero_residual_is_positive_zero(self):
+        """A residual of negative zeros has norm +0.0, so the iteration
+        log reads 0, never -0; a NaN residual keeps a NaN norm."""
+        import math
+        from types import SimpleNamespace
+
+        A = sp.csr_matrix(np.ones((2, 4)))
+        fake = SimpleNamespace(
+            rho=10.0,
+            _areas2=np.repeat(np.array([0.5]), 2),
+            _a_t=A.T.tocsr(),
+            _primal=np.empty(2),
+            _jump_step=np.empty(2),
+        )
+        negative_zero = np.array([-0.0, -0.0])
+        primal, dual = AdmmSolver.check_convergence(
+            fake, negative_zero, np.zeros(2), negative_zero
+        )
+        for norm in (primal, dual):
+            assert math.copysign(1.0, norm) == 1.0
+            assert f"{norm:.17g}" == "0"
+        primal, dual = AdmmSolver.check_convergence(
+            fake, np.array([np.nan, 1.0]), np.zeros(2), np.zeros(2)
+        )
+        assert math.isnan(primal) and dual == 0.0
+
+    def test_zero_load_run_logs_zero(self, tmp_path, soft_material, params):
+        """A run that is never loaded converges at once with residuals of
+        exactly zero, written as 0."""
+        from cohadm.fileio import RunWriter
+
+        mesh = rect_strip(4.0, 2.0, 4, 2)
+        sched = LoadSchedule(bc_set="right", direction="x", u_end=0.0,
+                             n_steps=2, fixed_sets=(("left", "x"), ("pin", "y")))
+        writer = RunWriter(tmp_path)
+        record = run_quasistatic(
+            mesh, soft_material, params, sched, AdmmConfig(),
+            setup_sink=writer.bind, step_sink=writer.on_step,
+            iteration_sink=writer.on_iteration,
+        )
+        writer.finalize(record)
+        rows = [
+            line.split()
+            for line in (tmp_path / "iterations.log").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert rows == [["1", "1", "0", "0"], ["2", "1", "0", "0"]]
 
     def test_matches_dense_recomputation(self, soft_material, params):
         mesh = rect_strip(4.0, 2.0, 4, 2)
@@ -754,6 +852,22 @@ class TestRunStep:
             result.state, bm.private_nodes_of(mesh.boundary_sets["right"])
         )
         assert np.allclose(left + rightf, 0.0, atol=1e-6 * np.abs(rightf).max())
+
+    def test_reaction_sums_rows_of_the_full_internal_force(self, soft_material, params):
+        """The reaction forms only the rows of its nodes, and each equals
+        the row of K u + A^T (y + rho (A u - delta)) bit for bit."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        delta_max = np.zeros(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 3e-3)
+        state = solver.run_step(solver.initial_state(), bc, delta_max, step=1).state
+        full = internal_force(stiffness, jump.A, solver.rho, state)
+        for name in ("right", "left", "pin"):
+            nodes = bm.private_nodes_of(mesh.boundary_sets[name])
+            want = np.array([full[2 * nodes].sum(), full[2 * nodes + 1].sum()])
+            got = reaction_force(stiffness, jump, solver.rho, state, nodes)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_reaction_rejects_empty_set(self, soft_material, params, two_triangle_square):
         bm = break_mesh(two_triangle_square)

@@ -11,7 +11,7 @@ from cohadm.errors import AssemblyError
 from cohadm.mesh import BrokenMesh, InputMesh, break_mesh
 from cohadm.meshgen import porous_plate, rect_strip
 
-from oracles import cst_energy
+from oracles import assert_same_csr, coo_stiffness, cst_energy
 
 
 def single_triangle(coords):
@@ -65,6 +65,25 @@ def test_stiffness_exactly_symmetric(mesh):
     assert np.array_equal(K.indptr, Kt.indptr)
     assert np.array_equal(K.indices, Kt.indices)
     assert K.data.tobytes() == Kt.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        lambda: porous_plate(
+            width=10.0, height=10.0, nx=8, ny=8, n_pores=2,
+            pore_radius=(1.0, 1.5), min_gap=1.0, margin=1.5, seed=4,
+        ),
+        lambda: rect_strip(10.0, 10.0, 6, 6),
+    ],
+    ids=["porous", "strip"],
+)
+def test_stiffness_matches_coo_reference(mesh):
+    """K is written straight into canonical CSR from the element blocks;
+    it equals the blocks scattered through COO triplets bit for bit."""
+    bm = break_mesh(mesh())
+    material = Material(30000.0, 0.2)
+    assert_same_csr(assemble_stiffness(bm, material), coo_stiffness(bm, material))
 
 
 def test_unit_right_triangle_uniaxial():
