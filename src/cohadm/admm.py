@@ -476,8 +476,9 @@ class AdmmSolver:
 
     The solver holds only what is fixed for its life: the CSR stiffness
     K it was given, the penalty, checked here before the factorization,
-    the factor of K + rho A^T A, the jump's CSR transpose A_t, which a
-    second solver on the same jump shares, and the residual buffers.
+    the factor of K + rho A^T A and the residual buffers. The A^T
+    products run through A.T, a CSC view over the jump's own arrays, so
+    A is stored once and the end-of-run digest covers all it reads.
     What is fixed for one load step, because the damage history and the
     boundary values are frozen while it iterates, run_step builds as
     locals and passes to the updates: coupling @ bc_values and the
@@ -517,7 +518,7 @@ class AdmmSolver:
         )
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
-        self._a_t = jump.A_t
+        self._a_t = jump.A.T    # a CSC view: no copy of A
         self._drive = np.empty(2 * jump.n_points)      # rho delta - y
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)

@@ -262,7 +262,8 @@ def run_quasistatic(
     the raised ConvergenceError carries the partial record as
     `partial_record`, with the damage history and the state of the last
     converged step. Raises OperatorMutatedError when K or A changed
-    during the run (the factor would no longer match them).
+    during the run (the factor would no longer match them), at the end
+    or at the step that then fails to converge.
     """
     mesh = break_mesh(input_mesh)
     dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
@@ -281,6 +282,11 @@ def run_quasistatic(
         iteration_sink=iteration_sink,
     )
     matrix_digest = solver.checksum()
+
+    def check_operators() -> None:
+        if solver.checksum() != matrix_digest:
+            raise OperatorMutatedError("system operator changed during the run")
+
     activation_config = _activation_config(admm_config, jump, cohesive)
     activation_solver = None
     if setup_sink is not None:
@@ -360,6 +366,9 @@ def run_quasistatic(
         try:
             result = step_solver.run_step(warm, bc_values, delta_max, step=k)
         except ConvergenceError as exc:
+            # the A^T products read A's own arrays, so a changed A makes
+            # the iteration diverge: name that cause, not the divergence
+            check_operators()
             exc.partial_record = record
             raise
         commit_history(delta_max, result.state.delta, cohesive)
@@ -393,6 +402,5 @@ def run_quasistatic(
             quality = extrapolation_quality(z_new, z_prev, trial, scale)
         z_before, z_prev = z_prev, z_new
 
-    if solver.checksum() != matrix_digest:
-        raise OperatorMutatedError("system operator changed during the run")
+    check_operators()
     return record

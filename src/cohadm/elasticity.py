@@ -154,10 +154,9 @@ def reaction_force(
 
     The internal force is the gradient of the augmented Lagrangian,
     K u + A^T (y + rho (A u - delta)): zero on free DOFs at a converged
-    step, the reaction on constrained ones. Only its rows at the node
-    set are formed, from v = y + rho (A u - delta) at the Gauss points
-    those rows reach, so the cost grows with the node set, not the mesh.
-    Each row equals that of the full product bit for bit.
+    step, the reaction on constrained ones. Its A^T term is formed over
+    every DOF through the CSC view A.T; the node set's rows are summed
+    per component.
 
     Parameters
     ----------
@@ -171,11 +170,7 @@ def reaction_force(
     if node_set.size == 0:
         raise ValueError("reaction node set is empty")
     rows = np.concatenate([2 * node_set, 2 * node_set + 1])
-    a_t = jump.A_t[rows]
-    points = np.unique(a_t.indices)
-    v = np.zeros(jump.A.shape[0])
-    au = jump.A[points] @ state.u
-    v[points] = state.y[points] + rho * (au - state.delta[points])
-    f = K[rows] @ state.u + a_t @ v
+    v = state.y + rho * (jump.A @ state.u - state.delta)
+    f = K[rows] @ state.u + (jump.A.T @ v)[rows]
     n = len(node_set)
     return np.array([f[:n].sum(), f[n:].sum()])

@@ -373,13 +373,11 @@ _CRACK_FIELD_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 def write_crack_field(path, jump, params: CohesiveParams, delta, delta_max) -> None:
     """Write one row per Gauss point, replacing `path` only on success."""
     delta = np.asarray(delta).reshape(-1, 2)
+    # + 0.0 turns -0.0 (the sliding opening of some closed points) into 0
+    floats = np.column_stack([jump.points, delta, delta_max]) + 0.0
     columns = (
         range(jump.n_points),
-        jump.points[:, 0].tolist(),
-        jump.points[:, 1].tolist(),
-        delta[:, 0].tolist(),
-        delta[:, 1].tolist(),
-        np.asarray(delta_max).tolist(),
+        *floats.T.tolist(),
         point_status(delta, delta_max, params).tolist(),
     )
     # write beside the target and rename, so a failed write never

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -233,6 +232,8 @@ class JumpOperator:
     Attributes
     ----------
     A : csr_matrix, shape (2 * n_points, n_dof)
+        The one stored form of the operator: products with A^T go
+        through ``A.T``, a CSC view over these same arrays.
     areas : (n_points,) float array
         Effective area per Gauss point (quadrature weight x edge length
         x thickness).
@@ -243,16 +244,6 @@ class JumpOperator:
     A: sp.csr_matrix
     areas: np.ndarray
     points: np.ndarray
-
-    @cached_property
-    def A_t(self) -> sp.csr_matrix:
-        """A^T as CSR, built on first use and shared by its readers.
-
-        Row i sums over the Gauss-point rows of A in ascending order,
-        the order of a CSC product with A.T, so a product with a row of
-        A_t equals the same entry of A.T @ v bit for bit.
-        """
-        return self.A.T.tocsr()
 
     @property
     def n_points(self) -> int:

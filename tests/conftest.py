@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads: on a shared host a threaded
+# BLAS turns the small products of the iteration into waits. An
+# explicit setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

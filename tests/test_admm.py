@@ -324,6 +324,22 @@ class TestUUpdate:
         scale = max(np.abs(grad).max(), 1.0)
         assert np.abs(grad[free]).max() <= 1e-9 * scale
 
+    def test_a_transpose_is_a_view_of_the_jump(self, soft_material, params):
+        """A is stored once: the A^T products run through a CSC view over
+        the jump's own arrays, with the sums of a CSR transpose bit for
+        bit, and the jump keeps no transpose of its own."""
+        mesh = rect_strip(4.0, 2.0, 4, 2)
+        _, jump, _, solver, _ = make_solver(
+            mesh, soft_material, params, AdmmConfig(), [("left", "xy")]
+        )
+        a_t = solver._a_t
+        assert a_t.format == "csc" and a_t.shape == jump.A.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(a_t, name), getattr(jump.A, name))
+        assert not hasattr(jump, "A_t")
+        v = np.random.default_rng(3).normal(size=jump.A.shape[0])
+        assert (a_t @ v).tobytes() == (jump.A.T.tocsr() @ v).tobytes()
+
     def test_reduced_system_residual(self, soft_material, params):
         mesh = rect_strip(4.0, 2.0, 4, 2)
         bm, jump, stiffness, solver, dirichlet = make_solver(
@@ -475,8 +491,8 @@ class TestConvergenceCheck:
         fake = SimpleNamespace(
             rho=10.0,
             _areas2=np.repeat(np.array([0.5]), 2),
-            # the solver's cached transpose and residual buffers
-            _a_t=A.T.tocsr(),
+            # the solver's CSC view of A^T and its residual buffers
+            _a_t=A.T,
             _primal=np.empty(2),
             _jump_step=np.empty(2),
         )
@@ -496,7 +512,7 @@ class TestConvergenceCheck:
         fake = SimpleNamespace(
             rho=10.0,
             _areas2=np.repeat(np.array([0.5]), 2),
-            _a_t=A.T.tocsr(),
+            _a_t=A.T,
             _primal=np.empty(2),
             _jump_step=np.empty(2),
         )
@@ -854,8 +870,8 @@ class TestRunStep:
         assert np.allclose(left + rightf, 0.0, atol=1e-6 * np.abs(rightf).max())
 
     def test_reaction_sums_rows_of_the_full_internal_force(self, soft_material, params):
-        """The reaction forms only the rows of its nodes, and each equals
-        the row of K u + A^T (y + rho (A u - delta)) bit for bit."""
+        """The reaction sums the rows of its nodes, and each equals the
+        row of K u + A^T (y + rho (A u - delta)) bit for bit."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )

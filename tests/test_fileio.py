@@ -574,6 +574,22 @@ class TestOutputs:
             assert fields[-1] == "closed"
             assert float(fields[5]) == 0.0
 
+    def test_crack_field_writes_zero_without_sign(self, small_run, tmp_path):
+        """An opening or history of -0.0 (the beta = 1 local solve gives
+        the sliding opening of some closed points so) is written as 0."""
+        record, _, _ = small_run
+        params = CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0)
+        n = record.jump.n_points
+        path = tmp_path / "crack_field.csv"
+        write_crack_field(
+            path, record.jump, params, np.full(2 * n, -0.0), np.full(n, -0.0)
+        )
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == n
+        for row in rows:
+            assert row[3:6] == ["0", "0", "0"] and row[6] == "closed"
+            assert "-0" not in row[1:3]
+
     def test_iterations_log_rows(self, small_run):
         record, out, _ = small_run
         lines = (out / "iterations.log").read_text().splitlines()
