@@ -31,7 +31,6 @@ Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci. Comput. 28(5),
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import numbers
@@ -478,7 +477,9 @@ class AdmmSolver:
     K it was given, the penalty, checked here before the factorization,
     the factor of K + rho A^T A and the residual buffers. The A^T
     products run through A.T, a CSC view over the jump's own arrays, so
-    A is stored once and the end-of-run digest covers all it reads.
+    A is stored once. K and A are shared, not copied, and read-only as
+    their builders return them: a write to either raises ValueError, so
+    the factor matches the operator the iteration applies.
     What is fixed for one load step, because the damage history and the
     boundary values are frozen while it iterates, run_step builds as
     locals and passes to the updates: coupling @ bc_values and the
@@ -518,7 +519,7 @@ class AdmmSolver:
         )
         self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
-        self._a_t = jump.A.T    # a CSC view: no copy of A
+        self._a_t = jump.A.T    # a read-only CSC view: no copy of A
         self._drive = np.empty(2 * jump.n_points)      # rho delta - y
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)
@@ -534,20 +535,6 @@ class AdmmSolver:
 
     def initial_state(self) -> SolverState:
         return SolverState.zeros(self.jump.n_dof, self.jump.n_points)
-
-    def checksum(self) -> str:
-        """Digest of K and A, the matrices the factor was built from.
-
-        Constant across all steps of a run; a change means the factor no
-        longer matches the operator the iteration applies.
-        """
-        h = hashlib.sha256()
-        for m in (self.K, self.jump.A):
-            # the contiguous arrays are hashed in place, not copied
-            h.update(m.indptr)
-            h.update(m.indices)
-            h.update(m.data)
-        return h.hexdigest()
 
     def u_update(
         self,

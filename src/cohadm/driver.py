@@ -30,7 +30,7 @@ from .cohesive import (
     validate_penalty,
 )
 from .elasticity import Material, assemble_stiffness
-from .errors import ConfigError, ConvergenceError, OperatorMutatedError
+from .errors import ConfigError, ConvergenceError
 from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
 
 log = logging.getLogger(__name__)
@@ -261,9 +261,8 @@ def run_quasistatic(
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
     `partial_record`, with the damage history and the state of the last
-    converged step. Raises OperatorMutatedError when K or A changed
-    during the run (the factor would no longer match them), at the end
-    or at the step that then fails to converge.
+    converged step. Both solvers share the one K and jump, read-only as
+    built, so their factors match the operators for the whole run.
     """
     mesh = break_mesh(input_mesh)
     dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
@@ -281,12 +280,6 @@ def run_quasistatic(
         mesh.nodes,
         iteration_sink=iteration_sink,
     )
-    matrix_digest = solver.checksum()
-
-    def check_operators() -> None:
-        if solver.checksum() != matrix_digest:
-            raise OperatorMutatedError("system operator changed during the run")
-
     activation_config = _activation_config(admm_config, jump, cohesive)
     activation_solver = None
     if setup_sink is not None:
@@ -366,9 +359,6 @@ def run_quasistatic(
         try:
             result = step_solver.run_step(warm, bc_values, delta_max, step=k)
         except ConvergenceError as exc:
-            # the A^T products read A's own arrays, so a changed A makes
-            # the iteration diverge: name that cause, not the divergence
-            check_operators()
             exc.partial_record = record
             raise
         commit_history(delta_max, result.state.delta, cohesive)
@@ -402,5 +392,4 @@ def run_quasistatic(
             quality = extrapolation_quality(z_new, z_prev, trial, scale)
         z_before, z_prev = z_prev, z_new
 
-    check_operators()
     return record

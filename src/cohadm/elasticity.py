@@ -14,7 +14,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import BrokenMesh, JumpOperator, csr_index_dtype, triangle_signed_areas
+from .mesh import (
+    BrokenMesh,
+    JumpOperator,
+    csr_index_dtype,
+    freeze,
+    triangle_signed_areas,
+)
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,9 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
     6t + i of K is row i of the element block, and the blocks laid end
     to end are K's canonical CSR arrays, with no sort or sum. K equals
     its transpose bit for bit, so a transposed solve with a factor of
-    K + rho A^T A solves the same system (admm.SMALL_FACTOR_NNZ).
+    K + rho A^T A solves the same system (admm.SMALL_FACTOR_NNZ). K's
+    arrays are returned read-only (`mesh.freeze`): a solver's factor of
+    K + rho A^T A must keep matching K.
     """
     ke = element_stiffness(mesh, mat)
     n_dof = mesh.n_dof
@@ -130,6 +138,7 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
         shape=(n_dof, n_dof),
     )
     K.has_canonical_format = True
+    freeze(K.data, K.indices, K.indptr)
     return K
 
 

@@ -54,7 +54,3 @@ class ConvergenceError(CohadmError):
             f"step {step} did not converge after {iterations} iterations "
             f"(primal={primal:.3e}, dual={dual:.3e})"
         )
-
-
-class OperatorMutatedError(CohadmError):
-    """K or A, which K + rho A^T A was factored from, changed during a run."""

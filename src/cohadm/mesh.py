@@ -34,6 +34,14 @@ def csr_index_dtype(*sizes: int) -> type:
     return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
+def freeze(*arrays: np.ndarray) -> None:
+    """Make each array, and views taken of it later, read-only: a write
+    raises ValueError. Rebinding the attribute that holds an array, or
+    setting `flags.writeable` back, is not guarded against."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
 def triangle_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed area of each triangle (positive for counterclockwise)."""
     p0 = nodes[triangles[:, 0]]
@@ -220,14 +228,15 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass
+@dataclass(frozen=True)
 class JumpOperator:
     """Sparse map from nodal displacements to interface openings.
 
     ``A`` has one row pair per interface Gauss point: row 2i is the
     normal opening and row 2i+1 the tangential opening at point i.
     Applying A to any displacement field that is continuous across all
-    interfaces gives zero.
+    interfaces gives zero. The fields cannot be reassigned, and
+    `build_jump_operator` makes their arrays read-only.
 
     Attributes
     ----------
@@ -264,6 +273,8 @@ def build_jump_operator(mesh: BrokenMesh, thickness: float = 1.0) -> JumpOperato
     reference configuration: the tangent t = (Q - P) / |Q - P| runs along
     the minus triangle's edge P -> Q, and the normal (t_y, -t_x) points
     out of the counterclockwise minus triangle, toward the plus side.
+    A's arrays, the areas and the points are returned read-only
+    (`freeze`): a solver's factor of K + rho A^T A must keep matching A.
 
     Parameters
     ----------
@@ -325,9 +336,6 @@ def build_jump_operator(mesh: BrokenMesh, thickness: float = 1.0) -> JumpOperato
         shape=(2 * n_points, mesh.n_dof),
     )
     A.has_canonical_format = True
-
-    return JumpOperator(
-        A=A,
-        areas=areas,
-        points=points.reshape(-1, 2),
-    )
+    points = points.reshape(-1, 2)
+    freeze(A.data, A.indices, A.indptr, areas, points)
+    return JumpOperator(A=A, areas=areas, points=points)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -269,26 +271,21 @@ class TestFactorize:
         with pytest.raises(ConfigError, match="repeat"):
             factorize_system(stiffness, jump.A, 1000.0, dirichlet, bm.nodes)
 
-    def test_checksum_stable(self, two_triangle_square, soft_material, params):
-        _, _, _, solver, _ = make_solver(
-            two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
-        )
-        assert solver.checksum() == solver.checksum()
-
-    def test_checksum_digests_the_array_bytes(
-        self, two_triangle_square, soft_material, params
-    ):
-        """Hashing the arrays in place gives the digest of their bytes."""
-        import hashlib
-
+    def test_operators_are_read_only(self, two_triangle_square, soft_material, params):
+        """K, A and A's transposed view come out of their builders
+        read-only, and the jump's fields cannot be reassigned."""
         _, jump, stiffness, solver, _ = make_solver(
             two_triangle_square, soft_material, params, AdmmConfig(), [("left", "xy")]
         )
-        h = hashlib.sha256()
-        for m in (stiffness, jump.A):
-            for array in (m.indptr, m.indices, m.data):
-                h.update(array.tobytes())
-        assert solver.checksum() == h.hexdigest()
+        arrays = [jump.areas, jump.points]
+        for m in (stiffness, jump.A, solver._a_t):
+            arrays += [m.data, m.indices, m.indptr]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            jump.A = jump.A.copy()
 
 
 class TestUUpdate:

@@ -15,7 +15,7 @@ from cohadm.driver import (
     run_quasistatic,
 )
 from cohadm.elasticity import Material
-from cohadm.errors import ConfigError, ConvergenceError, OperatorMutatedError
+from cohadm.errors import ConfigError, ConvergenceError
 from cohadm.mesh import InputMesh
 from cohadm.meshgen import rect_strip
 
@@ -394,19 +394,27 @@ def test_every_dof_prescribed(params):
     assert np.array_equal(record.final_state.u, expected)
 
 
-@pytest.mark.parametrize("matrix", ["A", "K"])
-def test_operator_mutation_raises(soft_material, params, matrix):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("operand", ["A", "K", "areas"])
+def test_operator_mutation_raises(soft_material, params, operand):
+    """K, A and the areas are read-only as built: a write fails where it
+    is made, before any iteration could read a changed operator."""
     mesh = rect_strip(4.0, 2.0, 4, 2)
 
     def tamper(broken, jump, solver):
-        target = jump.A if matrix == "A" else solver.K
-        target.data[0] *= 2.0
+        target = {"A": jump.A.data, "K": solver.K.data, "areas": jump.areas}
+        target[operand][0] *= 2.0
 
-    with pytest.raises(OperatorMutatedError):
+    steps, iterations = [], []
+    with pytest.raises(ValueError, match="read-only"):
         run_quasistatic(
             mesh, soft_material, params, small_strip_schedule(0.001, 2),
             AdmmConfig(), setup_sink=tamper,
+            step_sink=lambda row, *_: steps.append(row.step),
+            iteration_sink=lambda *entry: iterations.append(entry),
         )
+    assert 1 not in steps
+    assert iterations == []
 
 
 def test_empty_driven_set_rejected(soft_material, params):
@@ -481,6 +489,38 @@ class TestActivationPenalty:
         fracture_run(AdmmConfig(alpha=100.0))
         assert len(rhos) == 2
         assert rhos[1] == pytest.approx(0.6 * rhos[0], rel=1e-14)
+
+    def test_both_solvers_share_the_read_only_operators(self, monkeypatch):
+        """The activation solver factors and iterates on the same K and A
+        arrays as the configured one: nothing is copied."""
+        factored = []
+        factorize = admm.factorize_system
+
+        def kept(K, A, rho, *args):
+            factored.append((K, A))
+            return factorize(K, A, rho, *args)
+
+        monkeypatch.setattr(admm, "factorize_system", kept)
+        run_step, solvers = admm.AdmmSolver.run_step, []
+
+        def run_step_logged(self, state0, bc_values, delta_max, step=0):
+            solvers.append(self)
+            return run_step(self, state0, bc_values, delta_max, step)
+
+        monkeypatch.setattr(admm.AdmmSolver, "run_step", run_step_logged)
+        fracture_run(AdmmConfig(alpha=100.0))
+        solvers = list(dict.fromkeys(solvers))
+        assert len(solvers) == len(factored) == 2
+        K, A = factored[0]
+        for (K_i, A_i), solver in zip(factored, solvers):
+            held = [(K_i, K), (solver.K, K), (A_i, A), (solver.jump.A, A),
+                    (solver._a_t, A)]
+            for m, first in held:
+                for name in ("data", "indices", "indptr"):
+                    array = getattr(m, name)
+                    assert np.shares_memory(array, getattr(first, name))
+                    assert not array.flags.writeable
+            assert solver.jump is solvers[0].jump
 
     def test_step_after_activation_runs_at_lower_rho(self, monkeypatch):
         steps, reactions = record_step_penalties(monkeypatch)
