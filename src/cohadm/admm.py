@@ -14,19 +14,17 @@ Statistical Learning via ADMM", FnT ML 2011, section 3.4.3), which has
 the same fixed point as the plain map and reaches it in fewer
 iterations. The stopping test keeps the plain A u.
 
-While no Gauss point is on its loading branch the map w -> G(w) of
-w = (delta, y) is locally affine, and type-II Anderson acceleration
-(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011; Zhang, Peng, Deng & Liu,
+While every opening is zero, type-II Anderson acceleration (Walker &
+Ni, SIAM J. Numer. Anal. 49(4), 2011; Zhang, Peng, Deng & Liu,
 "Accelerating ADMM for Efficient Simulation and Optimization", ACM TOG
-38(6), 2019) extrapolates the next w from the last few iterates. A
-loading point or a rising residual clears the history and takes the
-plain iterate, so acceleration never chooses between crack branches.
-The boundary values enter G only through a constant offset, so the
-stored differences of one load step stay exact for the next one while
-the damage history, and with it the linear part of G, is unchanged
-(the recycling of Krylov subspaces across a sequence of linear systems,
-Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci. Comput. 28(5),
-2006, applied to the Anderson differences).
+38(6), 2019) extrapolates the next w = (delta, y) of the map w -> G(w)
+from the last few iterates. A nonzero opening or a rising residual
+clears the history and takes the plain iterate, so acceleration never
+chooses between crack branches. The boundary values enter G only
+through a constant offset, so the stored differences of one load step
+are kept for the next one (the recycling of Krylov subspaces across a
+sequence of linear systems, Parks, de Sturler, Mackey, Johnson & Maiti,
+SIAM J. Sci. Comput. 28(5), 2006, applied to the Anderson differences).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import scipy.sparse.linalg as spla
 from .cohesive import (
     CohesiveParams,
     LocalSolveContext,
-    loading_points,
     solve_local_batch,
     validate_penalty,
 )
@@ -368,10 +365,10 @@ class _Anderson:
     residual norm rises the differences are dropped and the plain
     iterate is taken.
 
-    The differences outlive a load step only when start sees the same
-    damage history delta_max as at the last start: then the next step's
-    map differs from the last one by a constant offset alone, which
-    cancels in every difference.
+    The differences outlive a load step: the caller pushes rows only
+    while every opening is zero and clears them at the first nonzero
+    one, so a carried row can change the path of the next step but not
+    its fixed point.
     """
 
     def __init__(self, window: int, scale: np.ndarray):
@@ -383,23 +380,14 @@ class _Anderson:
         self.proj = np.empty(window)      # d_f f of the last iterate
         self.f, self.f_prev = np.empty(n), np.empty(n)
         self.w = np.empty(n)
-        self.delta_max = None   # damage history at the last start
         self.clear()
 
-    def start(self, delta_max: np.ndarray) -> None:
-        """Begin a load step frozen at the damage history delta_max.
-
-        Keeps the differences when delta_max equals the one of the last
-        start, and clears them otherwise. The last iterate is always
-        forgotten: its residual belongs to the last step's offset, so no
-        difference may be taken across the step boundary.
-        """
-        if self.delta_max is not None and np.array_equal(delta_max, self.delta_max):
-            self.norm_prev = None
-            self.g_prev = None
-        else:
-            self.delta_max = delta_max.copy()
-            self.clear()
+    def start(self) -> None:
+        """Begin a load step: keep the differences, forget the last
+        iterate. Its residual belongs to the last step's offset, so no
+        difference may be taken across the step boundary."""
+        self.norm_prev = None
+        self.g_prev = None
 
     def clear(self) -> None:
         """Forget every iterate, the last one included."""
@@ -487,7 +475,7 @@ class AdmmSolver:
     it is given and returns the converged state, and the caller commits
     that history and takes the reaction (`reaction`) on the nodes it
     chooses. The Anderson differences are the one thing carried from
-    step to step, and only while the damage history is unchanged.
+    step to step.
     Exclusive access is assumed while run_step executes; the underlying
     matrices are immutable and may be shared across threads.
     """
@@ -593,19 +581,19 @@ class AdmmSolver:
         The damage history delta_max is frozen, so each step minimizes a
         fixed functional; committing the converged openings to it is the
         caller's concern. Anderson acceleration picks the next (delta, y)
-        while no Gauss point is loading, starting from the last step's
-        differences when delta_max has not changed since; the returned
-        state is always the output of the plain map. No argument is
-        written to: every iterate is a new array or a view of the
-        Anderson buffer, so a step changes nothing outside the solver
-        except its Anderson rows. Raises ConvergenceError when the
-        iteration cap is exhausted or at the first non-finite residual.
+        while every opening is zero, starting from the differences the
+        last step left; the returned state is always the output of the
+        plain map. No argument is written to: every iterate is a new
+        array or a view of the Anderson buffer, so a step changes nothing
+        outside the solver except its Anderson rows. Raises
+        ConvergenceError when the iteration cap is exhausted or at the
+        first non-finite residual.
         """
         delta, y = state0.delta, state0.y
         au_hat = np.empty_like(delta)
         anderson = self._anderson
         if anderson is not None:
-            anderson.start(delta_max)
+            anderson.start()
         lifted = self.fact.coupling @ bc_values
         local = LocalSolveContext(self.jump.areas, delta_max, self.rho, self.params)
         for it in range(1, self.config.max_iters + 1):
@@ -627,11 +615,7 @@ class AdmmSolver:
                 return StepResult(state=state, iterations=it)
             accelerated = None
             if anderson is not None:
-                # an all-zero opening field (before activation) has no
-                # loading point and skips the per-point test
-                if delta_g.any() and loading_points(
-                    delta_g.reshape(-1, 2), delta_max, self.params
-                ).any():
+                if delta_g.any():
                     anderson.clear()
                 else:
                     accelerated = anderson.step(delta, y, delta_g, y_g)

@@ -164,18 +164,6 @@ def point_status(delta, delta_max, params: CohesiveParams) -> np.ndarray:
     )
 
 
-def loading_points(delta, delta_max, params: CohesiveParams) -> np.ndarray:
-    """Mask of the points whose (n, 2) openings are on the loading branch.
-
-    A point loads when its effective opening is positive and not below
-    its damage history by more than LOADING_RTOL, failed points
-    included. Elsewhere the opening is zero or on the unloading secant,
-    where the local solution depends affinely on its drive.
-    """
-    eff = params.effective_opening(delta)
-    return (eff > 0.0) & (eff >= np.asarray(delta_max) * (1.0 - LOADING_RTOL))
-
-
 def local_objective(delta, p, a, delta_max, rho, params: CohesiveParams):
     """Value of the per-point ADMM objective at opening(s) delta.
 

@@ -9,7 +9,6 @@ from cohadm.cohesive import (
     LocalSolveContext,
     commit_history,
     dissipated_energy,
-    loading_points,
     local_objective,
     phi_c,
     solve_local,
@@ -375,23 +374,6 @@ def test_cohesive_state_irreversible(params):
     commit_history(delta_max, reopened, params)
     assert np.all(delta_max >= first)
     assert np.allclose(delta_max, [0.01, 0.006, 0.0])
-
-
-def test_loading_points(params):
-    h = 0.5 * DC
-    delta = np.array([
-        [0.0, 0.0],                  # pristine, closed
-        [0.0, 1e-3],                 # pristine, sliding open
-        [h * (1 - 1e-10), 0.0],      # at its history up to roundoff
-        [0.4 * DC, 0.0],             # unloading
-        [0.0, 0.0],                  # damaged, shut
-        [2.0 * DC, 0.0],             # failed, opening further
-        [0.5 * DC, 0.0],             # failed, below its history
-    ])
-    delta_max = np.array([0.0, 0.0, h, h, h, DC, DC])
-    assert loading_points(delta, delta_max, params).tolist() == [
-        False, True, True, False, False, True, False,
-    ]
 
 
 def test_dissipated_energy_values(params):

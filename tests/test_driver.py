@@ -550,7 +550,7 @@ class TestActivationPenalty:
 
         def clear_on_switch(self, state0, bc_values, delta_max, step=0):
             if last and last[-1] is not self:
-                self._anderson.delta_max = None     # start clears the rows
+                self._anderson.clear()
             last.append(self)
             return run_step(self, state0, bc_values, delta_max, step)
 
