@@ -14,17 +14,20 @@ Statistical Learning via ADMM", FnT ML 2011, section 3.4.3), which has
 the same fixed point as the plain map and reaches it in fewer
 iterations. The stopping test keeps the plain A u.
 
-While every opening is zero, type-II Anderson acceleration (Walker &
-Ni, SIAM J. Numer. Anal. 49(4), 2011; Zhang, Peng, Deng & Liu,
-"Accelerating ADMM for Efficient Simulation and Optimization", ACM TOG
-38(6), 2019) extrapolates the next w = (delta, y) of the map w -> G(w)
-from the last few iterates. A nonzero opening or a rising residual
-clears the history and takes the plain iterate, so acceleration never
-chooses between crack branches. The boundary values enter G only
-through a constant offset, so the stored differences of one load step
-are kept for the next one (the recycling of Krylov subspaces across a
-sequence of linear systems, Parks, de Sturler, Mackey, Johnson & Maiti,
-SIAM J. Sci. Comput. 28(5), 2006, applied to the Anderson differences).
+While the openings going into and coming out of an iteration are all
+zero, the next iterate depends on y alone, so type-II Anderson
+acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) extrapolates
+y alone from the last few iterates, as Zhang, Peng, Deng & Liu
+("Accelerating ADMM for Efficient Simulation and Optimization", ACM TOG
+38(6), 2019) advise. A nonzero opening or a rising residual clears the history
+and takes the plain iterate, so acceleration never chooses between
+crack branches. The boundary values enter the map only through a
+constant offset, so the stored differences of one load step are kept
+for the next one (the recycling of Krylov subspaces across a sequence
+of linear systems, Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J.
+Sci. Comput. 28(5), 2006, applied to the Anderson differences). While
+no opening moves, the dual residual is zero and its A^T product is
+skipped.
 """
 
 from __future__ import annotations
@@ -354,21 +357,24 @@ def _max_abs(v: np.ndarray) -> float:
 
 
 class _Anderson:
-    """Type-II Anderson acceleration of a fixed point w = G(w).
+    """Type-II Anderson acceleration of the multipliers, y = G(y).
 
-    The residual f = scale * (G(w) - w) and the map value g = G(w) of
+    The residual f = scale * (G(y) - y) and the map value g = G(y) of
     consecutive iterates are differenced into two ring buffers of m rows.
     The next iterate is g - dG' gamma, with gamma minimizing
     |f - dF' gamma| through the m x m Gram matrix dF dF'. One product
     dF f per iteration gives both the right-hand side and, differenced
     against the last one, the Gram column of the newest row. When the
     residual norm rises the differences are dropped and the plain
-    iterate is taken.
+    iterate is taken. The dot products are np.einsum sums, in a fixed
+    order on one thread, so the iterates do not depend on the BLAS
+    thread count.
 
-    The differences outlive a load step: the caller pushes rows only
-    while every opening is zero and clears them at the first nonzero
-    one, so a carried row can change the path of the next step but not
-    its fixed point.
+    The differences outlive a load step: the caller steps only while the
+    openings going into and coming out of an iteration are all zero and
+    clears the rows otherwise, so a carried row can change the path of
+    the next step but not its fixed point. Under that gate the openings
+    would add only zeros to f and g, so they are left out.
     """
 
     def __init__(self, window: int, scale: np.ndarray):
@@ -394,34 +400,30 @@ class _Anderson:
         self.count = 0        # valid rows of d_f / d_g, filled from row 0
         self.slot = 0         # row the next difference goes to
         self.norm_prev = None
-        self.g_prev = None    # (delta, y) halves of the last map value
+        self.g_prev = None    # the last map value
 
-    def step(self, delta, y, delta_g, y_g):
-        """Accelerated successor of w = (delta, y), or None for plain.
+    def step(self, y, y_g):
+        """Accelerated successor of y, or None for plain.
 
-        (delta_g, y_g) = G(w); they are kept until the next call and must
-        not be modified. The result is a pair of views of a buffer that
-        the next call overwrites.
+        y_g = G(y); it is kept until the next call and must not be
+        modified. The result is a buffer that the next call overwrites.
         """
-        f = self.f
-        half = len(delta)
-        np.subtract(delta_g, delta, out=f[:half])
-        np.subtract(y_g, y, out=f[half:])
+        f = np.subtract(y_g, y, out=self.f)
         f *= self.scale
-        norm = float(np.sqrt(f @ f))
+        norm = float(np.sqrt(np.einsum("i,i", f, f)))
         new = None
         if self.norm_prev is not None:
             if norm > self.norm_prev:
                 self.count = self.slot = 0
             else:
-                new = self._push(delta_g, y_g)
+                new = self._push(y_g)
         self.norm_prev = norm
         self.f, self.f_prev = self.f_prev, f
-        self.g_prev = (delta_g, y_g)
+        self.g_prev = y_g
         k = self.count
         if k == 0:
             return None
-        proj = self.d_f[:k] @ f
+        proj = np.einsum("ij,j->i", self.d_f[:k], f)
         if new is not None:
             # d_j (f - f_prev) for every older row j
             column = proj - self.proj[:k]
@@ -434,24 +436,19 @@ class _Anderson:
         gamma = unit * np.linalg.lstsq(
             self.gram[:k, :k] * np.outer(unit, unit), proj * unit, rcond=None
         )[0]
-        w = self.w
-        np.dot(gamma, self.d_g[:k], out=w)
-        np.subtract(delta_g, w[:half], out=w[:half])
-        np.subtract(y_g, w[half:], out=w[half:])
-        return w[:half], w[half:]
+        w = np.dot(gamma, self.d_g[:k], out=self.w)
+        return np.subtract(y_g, w, out=w)
 
-    def _push(self, delta_g, y_g):
+    def _push(self, y_g):
         """Store f - f_prev and g - g_prev; return their row, or None."""
         s = self.slot
         d_f = np.subtract(self.f, self.f_prev, out=self.d_f[s])
-        size2 = float(d_f @ d_f)
+        size2 = float(np.einsum("i,i", d_f, d_f))
         if not size2 > 0.0:
             # a repeated residual: the row is spoilt, start over
             self.count = self.slot = 0
             return None
-        half = len(delta_g)
-        np.subtract(delta_g, self.g_prev[0], out=self.d_g[s, :half])
-        np.subtract(y_g, self.g_prev[1], out=self.d_g[s, half:])
+        np.subtract(y_g, self.g_prev, out=self.d_g[s])
         self.gram[s, s] = size2
         self.count = min(self.count + 1, len(self.d_f))
         self.slot = (s + 1) % len(self.d_f)
@@ -513,9 +510,8 @@ class AdmmSolver:
         self._jump_step = np.empty(2 * jump.n_points)
         self._anderson = None
         if ANDERSON_WINDOW > 0 and jump.n_points:
-            # residual of (delta, y) in pressure units
-            scale = np.concatenate([self.rho / self._areas2, 1.0 / self._areas2])
-            self._anderson = _Anderson(ANDERSON_WINDOW, scale)
+            # residual of y in pressure units
+            self._anderson = _Anderson(ANDERSON_WINDOW, 1.0 / self._areas2)
 
     @property
     def n_points(self) -> int:
@@ -555,11 +551,14 @@ class AdmmSolver:
     ) -> tuple[float, float]:
         """Infinity norms of the pressure-normalized primal and dual
         residuals: element-wise division by effective areas. A NaN
-        residual gives a NaN norm."""
+        residual gives a NaN norm. The dual is exactly 0.0, with no A^T
+        product, when no opening moved."""
         r = np.subtract(au, delta, out=self._primal)
         r *= self.rho
         r /= self._areas2
         jump_step = np.subtract(delta, delta_prev, out=self._jump_step)
+        if not jump_step.any():
+            return _max_abs(r), 0.0
         jump_step /= self._areas2
         s = self._a_t @ jump_step
         s *= self.rho
@@ -580,14 +579,14 @@ class AdmmSolver:
 
         The damage history delta_max is frozen, so each step minimizes a
         fixed functional; committing the converged openings to it is the
-        caller's concern. Anderson acceleration picks the next (delta, y)
-        while every opening is zero, starting from the differences the
-        last step left; the returned state is always the output of the
-        plain map. No argument is written to: every iterate is a new
-        array or a view of the Anderson buffer, so a step changes nothing
-        outside the solver except its Anderson rows. Raises
-        ConvergenceError when the iteration cap is exhausted or at the
-        first non-finite residual.
+        caller's concern. Anderson acceleration picks the next y while
+        the openings going into and coming out of an iteration are all
+        zero, starting from the differences the last step left; the
+        returned state is always the output of the plain map. No argument
+        is written to: every iterate is a new array or the Anderson
+        buffer, so a step changes nothing outside the solver except its
+        Anderson rows. Raises ConvergenceError when the iteration cap is
+        exhausted or at the first non-finite residual.
         """
         delta, y = state0.delta, state0.y
         au_hat = np.empty_like(delta)
@@ -615,9 +614,10 @@ class AdmmSolver:
                 return StepResult(state=state, iterations=it)
             accelerated = None
             if anderson is not None:
-                if delta_g.any():
+                if delta_g.any() or delta.any():
                     anderson.clear()
                 else:
-                    accelerated = anderson.step(delta, y, delta_g, y_g)
-            delta, y = accelerated or (delta_g, y_g)
+                    accelerated = anderson.step(y, y_g)
+            delta = delta_g
+            y = y_g if accelerated is None else accelerated
         raise ConvergenceError(step, self.config.max_iters, primal, dual)

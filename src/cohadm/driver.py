@@ -147,11 +147,11 @@ class StateScale:
         self.y_scale = max(mean_area, 1e-300) * params.sigma_c
 
     def norm(self, a: SolverState, b: SolverState) -> float:
-        """Euclidean norm of the scaled difference a - b."""
+        """Euclidean norm of the scaled a - b, in a thread-independent order."""
         du = (a.u - b.u) / self.u_scale
         dd = (a.delta - b.delta) / self.delta_scale
         dy = (a.y - b.y) / self.y_scale
-        return float(np.sqrt(du @ du + dd @ dd + dy @ dy))
+        return float(np.sqrt(sum(np.einsum("i,i", v, v) for v in (du, dd, dy))))
 
 
 def extrapolate(z_k: SolverState, z_km1: SolverState) -> SolverState:

@@ -524,6 +524,49 @@ class TestConvergenceCheck:
         )
         assert math.isnan(primal) and dual == 0.0
 
+    def test_unmoved_openings_skip_the_dual_product(self):
+        """With delta == delta_prev the dual is exactly 0.0, and A^T is
+        never applied."""
+        from types import SimpleNamespace
+
+        class NoProduct:
+            def __matmul__(self, other):
+                raise AssertionError("the dual product ran")
+
+        fake = SimpleNamespace(
+            rho=10.0,
+            _areas2=np.repeat(np.array([0.5]), 2),
+            _a_t=NoProduct(),
+            _primal=np.empty(2),
+            _jump_step=np.empty(2),
+        )
+        delta = np.array([0.0, -0.0])
+        primal, dual = AdmmSolver.check_convergence(
+            fake, np.array([0.01, 0.0]), delta, delta.copy()
+        )
+        assert primal == pytest.approx(0.2)
+        assert dual == 0.0 and f"{dual:.17g}" == "0"
+
+    def test_one_moved_opening_takes_the_full_product(self, soft_material, params):
+        """When some opening moved, both norms are those of the full
+        product, bit for bit."""
+        mesh = rect_strip(4.0, 2.0, 4, 2)
+        _, jump, _, solver, _ = make_solver(
+            mesh, soft_material, params, AdmmConfig(), [("left", "xy")]
+        )
+        rng = np.random.default_rng(5)
+        au = rng.normal(size=2 * jump.n_points)
+        delta = np.zeros(2 * jump.n_points)
+        prev = delta.copy()
+        prev[3] = 1e-3
+        primal, dual = solver.check_convergence(au, delta, prev)
+        arep = np.repeat(jump.areas, 2)
+        full_r = solver.rho * (au - delta) / arep
+        full_s = solver.rho * (jump.A.T @ ((delta - prev) / arep))
+        assert dual > 0.0
+        assert primal == np.abs(full_r).max()
+        assert dual == np.abs(full_s).max()
+
     def test_zero_load_run_logs_zero(self, tmp_path, soft_material, params):
         """A run that is never loaded converges at once with residuals of
         exactly zero, written as 0."""
@@ -820,6 +863,47 @@ class TestRunStep:
             got, want = getattr(damaged.state, name), getattr(plain.state, name)
             assert got.tobytes() == want.tobytes(), name
 
+    def test_anderson_buffers_hold_multipliers_only(self, soft_material, params):
+        """Rows, residuals and the result have one column per multiplier
+        entry, and the residual is scaled by 1 / a alone."""
+        _, _, jump, _, solver, _, _ = self.stretch_setup(soft_material, params)
+        anderson = solver._anderson
+        n = 2 * jump.n_points
+        assert anderson.d_f.shape == anderson.d_g.shape == (admm.ANDERSON_WINDOW, n)
+        for buffer in (anderson.f, anderson.f_prev, anderson.w):
+            assert buffer.shape == (n,)
+        assert np.array_equal(anderson.scale, 1.0 / np.repeat(jump.areas, 2))
+
+    def test_anderson_cleared_by_a_nonzero_input_opening(self, soft_material, params):
+        """An iterate that starts from a nonzero opening clears the rows,
+        even when the openings it produces are all zero."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=1e-3
+        )
+        plain_update = solver.delta_update
+        counts, openings = [], []
+
+        def recorded(au, y, local):
+            counts.append(solver._anderson.count)
+            delta = plain_update(au, y, local)
+            openings.append(delta.any())
+            return delta
+
+        solver.delta_update = recorded
+        delta_max = np.zeros(jump.n_points)
+        state = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            delta_max, step=1,
+        ).state
+        start = dataclasses.replace(state, delta=state.delta.copy())
+        start.delta[0] = 1e-9
+        counts.clear()
+        openings.clear()
+        solver.run_step(start, self.bc_values(dirichlet, right, 2e-3), delta_max, 2)
+        assert counts[0] > 0          # the rows carry into the step
+        assert not openings[0]
+        assert len(counts) > 1 and counts[1] == 0
+
     def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
         """A nonzero opening at every iterate leaves the plain map bit for bit."""
         fast, seen, _, _ = self.pull_step(soft_material, params, 5e-3, 1e-3)
@@ -957,8 +1041,8 @@ def test_anderson_gram_matches_ring_buffer():
     plain = np.zeros(n)
     for _ in range(15):
         g = M @ w + b
-        nxt = accel.step(w[: n // 2], w[n // 2 :], g[: n // 2], g[n // 2 :])
-        w = g if nxt is None else np.concatenate(nxt)
+        nxt = accel.step(w, g)
+        w = g if nxt is None else nxt
         plain = M @ plain + b
     assert accel.count == window
     d_f = accel.d_f
@@ -985,8 +1069,8 @@ def test_anderson_carried_rows_solve_a_shifted_map():
             g = M @ w + b
             if np.abs(g - fixed).max() < 1e-8:
                 return it, g
-            nxt = accel.step(w[: n // 2], w[n // 2 :], g[: n // 2], g[n // 2 :])
-            w = g if nxt is None else np.concatenate(nxt)
+            nxt = accel.step(w, g)
+            w = g if nxt is None else nxt
         raise AssertionError("no convergence")
 
     carried = admm._Anderson(window, scale)
@@ -1017,9 +1101,7 @@ def reference_run_step(solver, state0, bc_values, delta_max, history):
     areas2 = np.repeat(jump.areas, 2)
     anderson = history.get("anderson")
     if anderson is None or not np.array_equal(history["delta_max"], delta_max):
-        anderson = admm._Anderson(
-            admm.ANDERSON_WINDOW, np.concatenate([rho / areas2, 1.0 / areas2])
-        )
+        anderson = admm._Anderson(admm.ANDERSON_WINDOW, 1.0 / areas2)
         history.update(anderson=anderson, delta_max=delta_max.copy())
     else:
         # no difference across the step boundary
@@ -1050,8 +1132,8 @@ def reference_run_step(solver, state0, bc_values, delta_max, history):
         if ((eff > 0.0) & (eff >= delta_max * (1.0 - 1e-9))).any():
             anderson.clear()
         else:
-            accelerated = anderson.step(delta, y, delta_g, y_g)
-        delta, y = accelerated or (delta_g, y_g)
+            accelerated = anderson.step(y, y_g)
+        delta, y = delta_g, y_g if accelerated is None else accelerated
     raise AssertionError("reference step did not converge")
 
 

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohadm
 from cohadm import admm, driver
 from cohadm.admm import AdmmConfig, SolverState
 from cohadm.cohesive import CohesiveParams, commit_history, dissipated_energy
@@ -543,7 +548,8 @@ class TestActivationPenalty:
     def test_no_anderson_rows_cross_a_switch(self, monkeypatch):
         """A run whose solvers drop their Anderson rows whenever the
         penalty switches is bit for bit the same run, and each penalty
-        keeps its own rows, scaled by its own rho."""
+        keeps its own rows. The rows hold multipliers only, so their
+        scale 1 / a is the same at both penalties."""
         kept = fracture_run()
         run_step = admm.AdmmSolver.run_step
         last = []
@@ -562,10 +568,7 @@ class TestActivationPenalty:
         assert low._anderson is not high._anderson
         for solver in solvers:
             areas2 = np.repeat(solver.jump.areas, 2)
-            assert np.array_equal(
-                solver._anderson.scale,
-                np.concatenate([solver.rho / areas2, 1.0 / areas2]),
-            )
+            assert np.array_equal(solver._anderson.scale, 1.0 / areas2)
         assert [r.iterations for r in cleared.rows] == [
             r.iterations for r in kept.rows
         ]
@@ -616,3 +619,49 @@ class TestActivationPenalty:
         assert len(rhos) == 1
         assert {rho for _, rho in steps} == {rhos[0]}
         assert "activation alpha 60 refused" in caplog.text
+
+
+# One run of a 4050-element strip, pulled to below activation: Anderson
+# accelerates 6 of its 12 iterations. Its multiplier vectors are long
+# enough that OpenBLAS splits a dot product of them between threads.
+THREADED_RUN = """
+import hashlib
+import numpy as np
+from cohadm.admm import AdmmConfig
+from cohadm.cohesive import CohesiveParams
+from cohadm.driver import LoadSchedule, run_quasistatic
+from cohadm.elasticity import Material
+from cohadm.meshgen import rect_strip
+
+record = run_quasistatic(
+    rect_strip(10.0, 10.0, 45, 45),
+    Material(youngs_modulus=3000.0, poisson_ratio=0.2, mode="plane_stress",
+             thickness=1.0),
+    CohesiveParams(sigma_c=3.0, delta_c=0.02287, beta=1.0),
+    LoadSchedule(bc_set="right", direction="x", u_end=0.005, n_steps=5,
+                 fixed_sets=(("left", "x"), ("pin", "y"))),
+    AdmmConfig(c_primal=5e-4, c_dual=5e-4),
+)
+digest = hashlib.sha256(np.asarray(record.stresses).tobytes())
+for name in ("u", "delta", "y"):
+    digest.update(getattr(record.final_state, name).tobytes())
+print(sum(row.iterations for row in record.rows), digest.hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    """The same run at one and at two BLAS threads gives the same bytes.
+    Each child sets its own thread count, since this process pins one."""
+    src = str(Path(cohadm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADED_RUN], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split()[0] == "12"
