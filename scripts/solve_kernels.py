@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two SuperLU solve kernels on the factor a run would build.
+"""Time the SuperLU factorization and its two solve kernels on the
+operator a run would factor.
 
     python scripts/solve_kernels.py out/demo/porous.mesh out/demo/porous.yaml
     OPENBLAS_NUM_THREADS=1 taskset -c 0 python scripts/solve_kernels.py M C
@@ -9,8 +10,10 @@ of K + rho A'A at the configured alpha, then times SuperLU's solve with
 trans="N" (`supernodal`) and trans="T" (`transposed`) on one random
 right-hand side, in alternating rounds. Prints the factor's stored
 entries, the median ms per solve of each kernel and the kernel the
-solver picks (admm.SMALL_FACTOR_NNZ), so the constant can be checked on
-another host.
+solver picks (admm.SMALL_FACTOR_NNZ). Then factors the operator again in
+alternating rounds on panels of admm.PANEL_SIZE and of scipy's default
+20 columns, and prints the median CPU seconds of each. Both constants
+can so be checked on another host.
 """
 
 import argparse
@@ -24,6 +27,7 @@ from cohadm.driver import run_quasistatic
 from cohadm.fileio import parse_config, parse_mesh
 
 ROUND_S = 0.05          # each round times solves for about this long
+DEFAULT_PANEL = 20      # scipy's panel_size
 
 
 class _Built(Exception):
@@ -68,17 +72,42 @@ def time_kernels(lu, rhs, rounds: int) -> dict[str, float]:
     return {name: statistics.median(ms) for name, ms in samples.items()}
 
 
+def reduced_operator(solver: admm.AdmmSolver):
+    """The free-free block of K + rho A'A that the solver factored."""
+    fact = solver.fact
+    free = np.zeros(len(fact.free) + len(fact.fixed), dtype=bool)
+    free[fact.free] = True
+    operator = admm._node_block_operator(solver.K, solver.jump.A, solver.rho)
+    return admm._reduce(operator, free, fact.fixed)[0]
+
+
+def time_factor(reduced, rounds: int) -> dict[int, float]:
+    """Median CPU s of the factorization on each panel size over
+    alternating rounds."""
+    panels = [admm.PANEL_SIZE, DEFAULT_PANEL]
+    samples = {panel: [] for panel in panels}
+    for _ in range(rounds):
+        for panel in panels:
+            start = time.process_time()
+            admm._SuperLuBackend(reduced, panel_size=panel)
+            samples[panel].append(time.process_time() - start)
+        panels.reverse()
+    return {panel: statistics.median(s) for panel, s in samples.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("mesh")
     parser.add_argument("config")
     parser.add_argument("--rounds", type=int, default=20,
-                        help="alternating rounds per kernel (default 20)")
+                        help="alternating rounds per kernel and per panel "
+                             "size (default 20)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    backend = configured_solver(args.mesh, args.config).fact.backend
+    solver = configured_solver(args.mesh, args.config)
+    backend = solver.fact.backend
     if backend is None:
         print("every DOF is fixed: no factor to solve with")
         return 1
@@ -90,6 +119,10 @@ def main(argv=None) -> int:
               f"median of {args.rounds} rounds)")
     print(f"picks {backend.kernel} "
           f"(SMALL_FACTOR_NNZ {admm.SMALL_FACTOR_NNZ})")
+    seconds = time_factor(reduced_operator(solver), args.rounds)
+    for panel, s in seconds.items():
+        print(f"panel {panel} {s:.4g} s (splu CPU time, "
+              f"median of {args.rounds} rounds)")
     return 0
 
 

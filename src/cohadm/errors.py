@@ -54,3 +54,22 @@ class ConvergenceError(CohadmError):
             f"step {step} did not converge after {iterations} iterations "
             f"(primal={primal:.3e}, dual={dual:.3e})"
         )
+
+
+class StagnationError(ConvergenceError):
+    """A load step's relative residual r = max(primal / c_primal,
+    dual / c_dual) rose far above the least value it had reached within
+    the step. ``best`` is that least r, reached at ``best_iteration``."""
+
+    def __init__(self, step, iterations, primal, dual, best, best_iteration):
+        self.best = best
+        self.best_iteration = best_iteration
+        super().__init__(step, iterations, primal, dual)
+
+    def __str__(self):
+        return (
+            f"step {self.step} diverged at iteration {self.iterations} "
+            f"(primal={self.primal:.3e}, dual={self.dual:.3e}); its least "
+            f"relative residual was {self.best:.3e}, at iteration "
+            f"{self.best_iteration}"
+        )

@@ -21,7 +21,12 @@ from cohadm.cohesive import (
 )
 from cohadm.driver import LoadSchedule, run_quasistatic
 from cohadm.elasticity import Material, assemble_stiffness, reaction_force
-from cohadm.errors import ConfigError, ConvergenceError, SingularSystemError
+from cohadm.errors import (
+    ConfigError,
+    ConvergenceError,
+    SingularSystemError,
+    StagnationError,
+)
 from cohadm.mesh import JumpOperator, break_mesh, build_jump_operator
 from cohadm.meshgen import porous_plate, rect_strip
 
@@ -73,6 +78,31 @@ class TestConfig:
         areas = np.array([1.0])
         assert np.isclose(cfg.penalty(areas, params), 13117.62, atol=0.01)
         assert cfg.penalty(np.zeros(0), params) == 0.0
+
+
+def criterion_5_operator(params, monkeypatch):
+    """The reduced operator that a solver for the criterion-5 porous plate
+    factors, and what make_solver returns for it."""
+    mesh = porous_plate(
+        width=50.0, height=50.0, nx=32, ny=32, n_pores=8,
+        pore_radius=(2.0, 4.0), min_gap=3.0, margin=4.0, seed=4,
+    )
+    material = Material(youngs_modulus=30000.0, poisson_ratio=0.2,
+                        mode="plane_stress", thickness=1.0)
+    factored = []
+    backend = admm._SuperLuBackend
+
+    def recording(reduced):
+        factored.append(reduced)
+        return backend(reduced)
+
+    monkeypatch.setattr(admm, "_SuperLuBackend", recording)
+    built = make_solver(
+        mesh, material, params, AdmmConfig(alpha=100.0),
+        [("left", "x"), ("pin", "y")],
+    )
+    (reduced,) = factored
+    return reduced, built
 
 
 class TestFactorize:
@@ -170,25 +200,10 @@ class TestFactorize:
         """The reduced operator stores every 2x2 node block it touches,
         cancelled x-y entries as explicit zeros, so minimum degree orders
         whole nodes and fills less; its values are those of K + rho A'A."""
-        mesh = porous_plate(
-            width=50.0, height=50.0, nx=32, ny=32, n_pores=8,
-            pore_radius=(2.0, 4.0), min_gap=3.0, margin=4.0, seed=4,
-        )
-        material = Material(youngs_modulus=30000.0, poisson_ratio=0.2,
-                            mode="plane_stress", thickness=1.0)
-        factored = []
         backend = admm._SuperLuBackend
-
-        def recording(reduced):
-            factored.append(reduced)
-            return backend(reduced)
-
-        monkeypatch.setattr(admm, "_SuperLuBackend", recording)
-        bm, jump, stiffness, solver, dirichlet = make_solver(
-            mesh, material, params, AdmmConfig(alpha=100.0),
-            [("left", "x"), ("pin", "y")],
+        reduced, (bm, jump, stiffness, solver, _) = criterion_5_operator(
+            params, monkeypatch
         )
-        (reduced,) = factored
         free = solver.fact.free
         n_dof = bm.n_dof
 
@@ -252,6 +267,23 @@ class TestFactorize:
         assert np.array_equal(transpose.indptr, reduced.indptr)
         assert np.array_equal(transpose.indices, reduced.indices)
         assert transpose.data.tobytes() == reduced.data.tobytes()
+
+    def test_panel_size_keeps_order_and_fill(self, params, monkeypatch):
+        """On the criterion-5 plate a factor built on panels of PANEL_SIZE
+        columns has the ordering and the fill of one built on scipy's
+        default 20, and solves the system as accurately."""
+        backend = admm._SuperLuBackend
+        reduced, (_, _, _, solver, _) = criterion_5_operator(params, monkeypatch)
+        assert admm.PANEL_SIZE != 20
+        built, default = solver.fact.backend, backend(reduced, panel_size=20)
+        assert np.array_equal(built._lu.perm_c, default._lu.perm_c)
+        assert built.nnz == default.nnz
+        rhs = np.random.default_rng(5).normal(size=reduced.shape[0])
+        u, u_default = built.solve(rhs), default.solve(rhs)
+        size = np.abs(u_default).max()
+        assert np.abs(u - u_default).max() <= 1e-12 * size
+        # 10,834 free DOFs are too many for a dense solve: check the residual
+        assert np.abs(reduced @ u - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
     def test_dirichlet_index_out_of_range(self, two_triangle_square, soft_material):
         bm = break_mesh(two_triangle_square)
@@ -721,6 +753,35 @@ class TestRunStep:
         assert err.value.step == 4
         assert err.value.iterations == 1
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
+
+    def test_blowup_fails_fast_by_name(self, soft_material, params, monkeypatch):
+        """Openings that grow tenfold per iteration raise StagnationError,
+        a ConvergenceError, long before the first non-finite residual
+        (about 300 iterations here), naming the least relative residual
+        and where it was reached."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        calls = []
+
+        def growing(self, au, y, local):
+            calls.append(None)
+            return np.full_like(au, 1e-3 * 10.0 ** len(calls))
+
+        monkeypatch.setattr(AdmmSolver, "delta_update", growing)
+        bc = self.bc_values(dirichlet, right, 1e-3)
+        with pytest.raises(StagnationError) as err:
+            solver.run_step(solver.initial_state(), bc, np.zeros(jump.n_points), step=6)
+        e = err.value
+        assert isinstance(e, ConvergenceError)
+        assert e.step == 6
+        assert e.iterations == len(calls) <= 20
+        assert 1 <= e.best_iteration < e.iterations
+        assert 1.0 <= e.best
+        r = max(e.primal / solver.config.c_primal, e.dual / solver.config.c_dual)
+        assert r > admm.BLOWUP_FACTOR * e.best
+        assert str(e).startswith(f"step 6 diverged at iteration {e.iterations} ")
+        assert f"at iteration {e.best_iteration}" in str(e)
 
     def test_restart_from_converged_state(self, soft_material, params):
         """Plain and over-relaxed maps share their fixed point."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohadm.admm import AdmmSolver
 from cohadm.cli import main
 from cohadm.fileio import RunWriter, parse_config, write_mesh
 from cohadm.meshgen import rect_strip
@@ -159,18 +160,25 @@ def test_same_outputs_curve_tolerance(walkthrough_inputs, capsys):
 
 
 def test_solve_kernels_script(walkthrough_inputs, capsys):
-    """The kernel timer names the factor size, both kernels' medians and
-    the kernel the solver picks for the walkthrough strip."""
+    """The kernel timer names the factor size, both kernels' medians, the
+    kernel the solver picks for the walkthrough strip, and the factor
+    time on the solver's panel size and on scipy's default."""
     solve_kernels = runpy.run_path(str(SCRIPTS / "solve_kernels.py"))["main"]
     mesh, config = walkthrough_inputs / "strip.mesh", walkthrough_inputs / "strip.yaml"
     assert solve_kernels([str(mesh), str(config), "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
     assert re.fullmatch(r"nnz [1-9][0-9]*", lines[0])
     for line, kernel in zip(lines[1:3], ("supernodal", "transposed")):
         assert re.fullmatch(
             rf"{kernel} [0-9.e+-]+ ms \(trans=[NT], median of 2 rounds\)", line
         )
     assert lines[3] == "picks transposed (SMALL_FACTOR_NNZ 6000000)"
+    for line, panel in zip(lines[4:], (8, 20)):
+        assert re.fullmatch(
+            rf"panel {panel} [0-9.e+-]+ s \(splu CPU time, median of 2 rounds\)",
+            line,
+        )
 
 
 def test_run_produces_outputs(strip_inputs, tmp_path, capsys):
@@ -278,6 +286,27 @@ def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
     assert err.startswith("error: convergence:")
     # partial rows were flushed before the failure
     assert (tmp_path / "nc" / "stress_strain.csv").exists()
+
+
+def test_run_blowup_exits_two(strip_inputs, tmp_path, capsys, monkeypatch):
+    """A diverging step exits as a non-converged run does, with the rows
+    of the steps before it flushed."""
+    calls = []
+
+    def growing(self, au, y, local):
+        calls.append(None)
+        return np.full_like(au, 1e-3 * 10.0 ** len(calls))
+
+    monkeypatch.setattr(AdmmSolver, "delta_update", growing)
+    mesh_path, config_path = strip_inputs
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "nc")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence: step 1 diverged at iteration ")
+    assert len(calls) <= 20
+    rows = (tmp_path / "nc" / "stress_strain.csv").read_text().splitlines()
+    assert len(rows) == 2          # the header and step 0
 
 
 def test_run_io_error_exits_one(strip_inputs, tmp_path, capsys, monkeypatch):
