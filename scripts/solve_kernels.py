@@ -5,7 +5,7 @@ operator a run would factor.
     python scripts/solve_kernels.py out/demo/porous.mesh out/demo/porous.yaml
     OPENBLAS_NUM_THREADS=1 taskset -c 0 python scripts/solve_kernels.py M C
 
-Builds the set-up of `cohadm run` for MESH and CONFIG up to the factor
+Builds the set-up of `cohadm run` for MESH and CONFIG and the factor
 of K + rho A'A at the configured alpha, then times SuperLU's solve with
 trans="N" (`supernodal`) and trans="T" (`transposed`) on one random
 right-hand side, in alternating rounds. Prints the factor's stored
@@ -23,35 +23,11 @@ import time
 import numpy as np
 
 from cohadm import admm
-from cohadm.driver import run_quasistatic
+from cohadm.driver import build_problem
 from cohadm.fileio import parse_config, parse_mesh
 
 ROUND_S = 0.05          # each round times solves for about this long
 DEFAULT_PANEL = 20      # scipy's panel_size
-
-
-class _Built(Exception):
-    """Stops the run once its solver is set up."""
-
-    def __init__(self, solver):
-        self.solver = solver
-
-
-def configured_solver(mesh_path, config_path) -> admm.AdmmSolver:
-    """The solver `cohadm run` builds first: the configured alpha."""
-    config = parse_config(config_path)
-
-    def stop(mesh, jump, solver):
-        raise _Built(solver)
-
-    try:
-        run_quasistatic(
-            parse_mesh(mesh_path), config.material, config.cohesive,
-            config.schedule, config.admm, config.policy, setup_sink=stop,
-        )
-    except _Built as built:
-        return built.solver
-    raise RuntimeError("the run ended before its set-up")
 
 
 def time_kernels(lu, rhs, rounds: int) -> dict[str, float]:
@@ -106,7 +82,10 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    solver = configured_solver(args.mesh, args.config)
+    config = parse_config(args.config)
+    solver = build_problem(
+        parse_mesh(args.mesh), config.material, config.cohesive, config.schedule
+    ).solver(config.admm)
     backend = solver.fact.backend
     if backend is None:
         print("every DOF is fixed: no factor to solve with")

@@ -66,7 +66,7 @@ log = logging.getLogger(__name__)
 RELAXATION = 1.5
 
 # Anderson window m: how many past iterate differences the accelerated
-# (delta, y) update combines; 0 turns acceleration off.
+# y update combines; 0 turns acceleration off.
 ANDERSON_WINDOW = 5
 
 # Stored factor entries (SuperLU.nnz) up to which a solve runs SuperLU's
@@ -100,6 +100,11 @@ PANEL_SIZE = 8
 # A load step fails once r = max(primal / c_primal, dual / c_dual)
 # exceeds this many times its least value within the step.
 BLOWUP_FACTOR = 1e6
+
+# A load step fails once r sets no new least value in this many
+# iterations. The uniform strip's snap step goes 514-567 iterations
+# without one and converges; 2000 caps a stalled 30k step near 2 min.
+STALL_WINDOW = 2000
 
 
 @dataclass
@@ -498,8 +503,10 @@ class AdmmSolver:
     LocalSolveContext. A step only solves: it reads the damage history
     it is given and returns the converged state, and the caller commits
     that history and takes the reaction (`reaction`) on the nodes it
-    chooses. The Anderson differences are the one thing carried from
-    step to step.
+    chooses. The iteration sink, too, is an argument of the step, so the
+    Anderson differences are the one thing carried from step to step,
+    and a kept solver (driver.Problem.solver) holds nothing else of a
+    run.
     Exclusive access is assumed while run_step executes; the underlying
     matrices are immutable and may be shared across threads.
     """
@@ -512,7 +519,6 @@ class AdmmSolver:
         config: AdmmConfig,
         dirichlet_dofs: np.ndarray,
         coords: np.ndarray,
-        iteration_sink=None,
     ):
         self.K = K
         self.jump = jump
@@ -529,7 +535,6 @@ class AdmmSolver:
             backend.nnz if backend is not None else 0,
             backend.kernel if backend is not None else "none",
         )
-        self.iteration_sink = iteration_sink
         self._areas2 = np.repeat(jump.areas, 2)
         self._a_t = jump.A.T    # a read-only CSC view: no copy of A
         self._drive = np.empty(2 * jump.n_points)      # rho delta - y
@@ -601,6 +606,7 @@ class AdmmSolver:
         bc_values: np.ndarray,
         delta_max: np.ndarray,
         step: int = 0,
+        iteration_sink=None,
     ) -> StepResult:
         """Iterate u -> delta -> y until both residuals pass.
 
@@ -612,11 +618,14 @@ class AdmmSolver:
         returned state is always the output of the plain map. No argument
         is written to: every iterate is a new array or the Anderson
         buffer, so a step changes nothing outside the solver except its
-        Anderson rows. Raises ConvergenceError when the iteration cap is
-        exhausted or at the first non-finite residual, and its subclass
-        StagnationError once the relative residual r = max(primal /
-        c_primal, dual / c_dual), which is at least 1 until the step
-        converges, exceeds BLOWUP_FACTOR times its least value so far.
+        Anderson rows. iteration_sink(step, iter, primal, dual), when
+        given, sees every iteration of this call and of no other. Raises
+        ConvergenceError when the iteration cap is exhausted or at the
+        first non-finite residual, and its subclass StagnationError once
+        the relative residual r = max(primal / c_primal, dual / c_dual),
+        which is at least 1 until the step converges, exceeds
+        BLOWUP_FACTOR times its least value so far ("diverged") or sets
+        no new least value in STALL_WINDOW iterations ("stalled").
         """
         delta, y = state0.delta, state0.y
         c_primal, c_dual = self.config.c_primal, self.config.c_dual
@@ -640,8 +649,8 @@ class AdmmSolver:
             delta_g = self.delta_update(au_hat, y, local)
             y_g = multiplier_update(y, self.rho, au_hat, delta_g)
             primal, dual = self.check_convergence(au, delta_g, delta)
-            if self.iteration_sink is not None:
-                self.iteration_sink(step, it, primal, dual)
+            if iteration_sink is not None:
+                iteration_sink(step, it, primal, dual)
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 raise ConvergenceError(step, it, primal, dual)
             if primal < c_primal and dual < c_dual:
@@ -651,7 +660,9 @@ class AdmmSolver:
             if r < best:
                 best, best_it = r, it
             elif r > BLOWUP_FACTOR * best:
-                raise StagnationError(step, it, primal, dual, best, best_it)
+                raise StagnationError(step, it, primal, dual, best, best_it, "diverged")
+            elif it - best_it >= STALL_WINDOW:
+                raise StagnationError(step, it, primal, dual, best, best_it, "stalled")
             accelerated = None
             if anderson is not None:
                 open_out = delta_g.any()

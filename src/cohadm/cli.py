@@ -84,17 +84,16 @@ def _cmd_run(args) -> int:
             fh.write(f"config sha256 {_file_digest(args.config)}\n")
             fh.write(f"admm relaxation {admm.RELAXATION}\n")
             fh.write(f"admm anderson_window {admm.ANDERSON_WINDOW}\n")
-        record = run_quasistatic(
-            mesh,
-            config.material,
-            config.cohesive,
-            config.schedule,
-            config.admm,
-            config.policy,
-            setup_sink=writer.bind,
-            step_sink=writer.on_step,
-            iteration_sink=writer.on_iteration,
-        )
+        try:
+            record = run_quasistatic(
+                mesh, config.material, config.cohesive, config.schedule,
+                config.admm, config.policy, setup_sink=writer.bind,
+                step_sink=writer.on_step, iteration_sink=writer.on_iteration,
+            )
+        except ConvergenceError as exc:
+            # the fields of the last converged step
+            writer.finalize(exc.partial_record)
+            raise
         writer.finalize(record)
     except ConvergenceError as exc:
         return _fail("convergence", str(exc), EXIT_NONCONVERGED)

@@ -272,7 +272,8 @@ class LocalSolveContext:
             self.rho_dc = rho * dc
             self.softening = rho - self.a_sc / dc   # loading-wedge stiffness
         else:
-            with np.errstate(invalid="ignore"):
+            # a tiny history gives a finite ak that beta^2 overflows to inf
+            with np.errstate(invalid="ignore", over="ignore"):
                 self.secant_s = rho + ak * beta * beta   # sliding axis
             # bracket of the loading root
             self.lo = np.minimum(np.maximum(dm, dc * 1e-12), dc)

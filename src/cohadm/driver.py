@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .admm import AdmmConfig, AdmmSolver, SolverState
 from .cohesive import (
@@ -31,7 +32,7 @@ from .cohesive import (
 )
 from .elasticity import Material, assemble_stiffness
 from .errors import ConfigError, ConvergenceError
-from .mesh import BrokenMesh, InputMesh, break_mesh, build_jump_operator
+from .mesh import BrokenMesh, InputMesh, JumpOperator, break_mesh, build_jump_operator
 
 log = logging.getLogger(__name__)
 
@@ -180,9 +181,43 @@ def extrapolation_quality(
     return scale.norm(z_k, z_km1) / denom
 
 
-def _dirichlet_layout(mesh: BrokenMesh, schedule: LoadSchedule):
-    """Sorted constrained DOFs and the positions of the driven ones."""
-    sets = mesh.input_mesh.boundary_sets
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """A run's set-up, built once by `build_problem`: the broken mesh,
+    its jump operator, K (both read-only as built), the cohesive law,
+    the sorted Dirichlet DOFs with the positions of the driven ones
+    among them, and the private nodes the reaction is taken on."""
+
+    mesh: BrokenMesh
+    jump: JumpOperator
+    K: sp.csr_matrix
+    cohesive: CohesiveParams
+    dirichlet: np.ndarray
+    driven_pos: np.ndarray
+    reaction_nodes: np.ndarray
+    _solvers: dict = field(default_factory=dict, init=False, repr=False)
+
+    def solver(self, config: AdmmConfig) -> AdmmSolver:
+        """The AdmmSolver of `config`: built, and its factor with it, on
+        the first request for an equal config, then the same object."""
+        if config not in self._solvers:
+            self._solvers[config] = AdmmSolver(
+                self.K, self.jump, self.cohesive, config, self.dirichlet,
+                self.mesh.nodes,
+            )
+        return self._solvers[config]
+
+
+def build_problem(
+    input_mesh: InputMesh, material: Material, cohesive: CohesiveParams,
+    schedule: LoadSchedule,
+) -> Problem:
+    """Break the mesh, lay out the boundary conditions and build the jump
+    operator and K. Raises ConfigError for an unknown boundary set, a
+    driven set with no node on any triangle, and driven and fixed sets
+    that overlap on the driven component."""
+    mesh = break_mesh(input_mesh)
+    sets = input_mesh.boundary_sets
     if schedule.bc_set not in sets:
         raise ConfigError(f"unknown boundary set {schedule.bc_set!r}")
     driven = mesh.dofs_of(sets[schedule.bc_set], schedule.direction)
@@ -190,36 +225,40 @@ def _dirichlet_layout(mesh: BrokenMesh, schedule: LoadSchedule):
         raise ConfigError(
             f"boundary set {schedule.bc_set!r} has no nodes on any triangle"
         )
-    fixed_parts = []
+    fixed_parts = [np.zeros(0, dtype=np.int64)]
     for name, components in schedule.fixed_sets:
         if name not in sets:
             raise ConfigError(f"unknown boundary set {name!r}")
         fixed_parts.append(mesh.dofs_of(sets[name], components))
-    fixed = (
-        np.unique(np.concatenate(fixed_parts)) if fixed_parts else
-        np.zeros(0, dtype=np.int64)
-    )
-    overlap = np.intersect1d(driven, fixed)
-    if overlap.size:
+    fixed = np.concatenate(fixed_parts)
+    if np.intersect1d(driven, fixed).size:
         raise ConfigError(
             "driven and fixed boundary sets overlap on the driven component"
         )
-    all_dofs = np.unique(np.concatenate([driven, fixed]))
-    driven_pos = np.searchsorted(all_dofs, driven)
-    return all_dofs, driven_pos
+    dirichlet = np.unique(np.concatenate([driven, fixed]))
+    return Problem(
+        mesh=mesh,
+        jump=build_jump_operator(mesh, thickness=material.thickness),
+        K=assemble_stiffness(mesh, material),
+        cohesive=cohesive,
+        dirichlet=dirichlet,
+        driven_pos=np.searchsorted(dirichlet, driven),
+        reaction_nodes=mesh.private_nodes_of(sets[schedule.bc_set]),
+    )
 
 
 def _activation_config(
     config: AdmmConfig, jump, params: CohesiveParams
-) -> AdmmConfig | None:
-    """Config of the steps after an activation step, or None for `config`.
+) -> AdmmConfig:
+    """Config of the steps after an activation step.
 
-    None when alpha is already at most ACTIVATION_ALPHA, and when the
-    lower penalty breaks the strong-convexity bound, which is logged.
+    `config` itself when alpha is already at most ACTIVATION_ALPHA, and
+    when the lower penalty breaks the strong-convexity bound, which is
+    logged.
     """
     alpha = min(config.alpha, ACTIVATION_ALPHA)
     if alpha == config.alpha:
-        return None
+        return config
     lower = replace(config, alpha=alpha)
     try:
         validate_penalty(lower.penalty(jump.areas, params), jump.areas, params)
@@ -228,7 +267,7 @@ def _activation_config(
             "activation alpha %g refused, every step runs at alpha %g: %s",
             alpha, config.alpha, exc,
         )
-        return None
+        return config
     return lower
 
 
@@ -245,49 +284,32 @@ def run_quasistatic(
 ) -> RunRecord:
     """Run the full load schedule and collect the stress-strain record.
 
-    Each step is a solve that changes nothing outside the solver but its
-    Anderson rows; this loop then commits the converged openings to the
-    damage history delta_max and takes the reaction on the loaded nodes.
-    A step that turns a pristine Gauss point into a damaged one sends the
-    next step to a second solver at alpha min(alpha, ACTIVATION_ALPHA),
-    built from the same K and jump when first needed and dropped when the
-    run ends; the states carry over unchanged, each solver keeps its own
+    `build_problem` sets the run up. Each step is a solve that changes
+    nothing outside the solver but its Anderson rows; this loop then
+    commits the converged openings to the damage history delta_max and
+    takes the reaction on the loaded nodes. A step that turns a pristine
+    Gauss point into a damaged one sends the next step to the problem's
+    solver at alpha min(alpha, ACTIVATION_ALPHA), built when first
+    needed; the states carry over unchanged, each solver keeps its own
     Anderson rows, and a step's reaction uses its own penalty.
 
-    setup_sink(mesh, jump, solver) fires once after assembly, with the
-    solver at the configured alpha;
+    setup_sink(mesh, jump, solver) fires once after the factor at the
+    configured alpha is built, before step 1;
     step_sink(row, state, delta_max) after every converged step
     (crash-safe flushing is the caller's concern); iteration_sink(step,
     iter, primal, dual) after every ADMM iteration. On non-convergence
     the raised ConvergenceError carries the partial record as
     `partial_record`, with the damage history and the state of the last
-    converged step. Both solvers share the one K and jump, read-only as
-    built, so their factors match the operators for the whole run.
+    converged step.
     """
-    mesh = break_mesh(input_mesh)
-    dirichlet, driven_pos = _dirichlet_layout(mesh, schedule)
-    jump = build_jump_operator(mesh, thickness=material.thickness)
-    K = assemble_stiffness(mesh, material)
-    reaction_nodes = mesh.private_nodes_of(
-        input_mesh.boundary_sets[schedule.bc_set]
-    )
-    solver = AdmmSolver(
-        K,
-        jump,
-        cohesive,
-        admm_config,
-        dirichlet,
-        mesh.nodes,
-        iteration_sink=iteration_sink,
-    )
+    problem = build_problem(input_mesh, material, cohesive, schedule)
+    jump = problem.jump
+    solver = problem.solver(admm_config)
     activation_config = _activation_config(admm_config, jump, cohesive)
-    activation_solver = None
     if setup_sink is not None:
-        setup_sink(mesh, jump, solver)
+        setup_sink(problem.mesh, jump, solver)
 
-    lo = input_mesh.nodes.min(axis=0)
-    hi = input_mesh.nodes.max(axis=0)
-    extent = hi - lo
+    extent = np.ptp(input_mesh.nodes, axis=0)
     axis = 0 if schedule.direction == "x" else 1
     width = float(extent[axis])
     height = float(extent[1 - axis])
@@ -296,11 +318,8 @@ def run_quasistatic(
     # state, so a ConvergenceError's partial record has both
     delta_max = np.zeros(jump.n_points)
     record = RunRecord(
-        width=width,
-        height=height,
-        thickness=material.thickness,
-        delta_max=delta_max,
-        jump=jump,
+        width=width, height=height, thickness=material.thickness,
+        delta_max=delta_max, jump=jump,
     )
     scale = StateScale(
         cohesive, float(np.mean(jump.areas)) if jump.n_points else 1.0
@@ -335,17 +354,10 @@ def run_quasistatic(
     n_damaged = 0
     activated = False                    # the last step damaged a pristine point
     for k in range(1, schedule.n_steps + 1):
-        step_solver = solver
-        if activated and activation_config is not None:
-            if activation_solver is None:
-                activation_solver = AdmmSolver(
-                    K, jump, cohesive, activation_config, dirichlet,
-                    mesh.nodes, iteration_sink=iteration_sink,
-                )
-            step_solver = activation_solver
+        step_solver = problem.solver(activation_config if activated else admm_config)
         target = schedule.applied(k)
-        bc_values = np.zeros(len(dirichlet))
-        bc_values[driven_pos] = target
+        bc_values = np.zeros(len(problem.dirichlet))
+        bc_values[problem.driven_pos] = target
         # quality is only measured with the policy enabled, from step 2 on
         use_extrap = quality is not None and quality > policy.quality_threshold
         # one prediction per step: the warm start when the gate is open,
@@ -357,7 +369,9 @@ def run_quasistatic(
         warm = trial if use_extrap else z_prev
         t0 = time.perf_counter()
         try:
-            result = step_solver.run_step(warm, bc_values, delta_max, step=k)
+            result = step_solver.run_step(
+                warm, bc_values, delta_max, step=k, iteration_sink=iteration_sink
+            )
         except ConvergenceError as exc:
             exc.partial_record = record
             raise
@@ -365,7 +379,7 @@ def run_quasistatic(
         # the history never decreases, so a new nonzero is a new crack point
         damaged = np.count_nonzero(delta_max)
         activated, n_damaged = damaged > n_damaged, damaged
-        force = float(step_solver.reaction(result.state, reaction_nodes)[axis])
+        force = float(step_solver.reaction(result.state, problem.reaction_nodes)[axis])
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
         emit(

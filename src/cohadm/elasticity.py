@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError
 from .mesh import (
     BrokenMesh,
     JumpOperator,
@@ -64,8 +63,7 @@ class Material:
 def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     """Strain-displacement matrices and areas for all CST elements.
 
-    Raises AssemblyError for a degenerate (non-positive area) element,
-    before anything is divided by the area.
+    Each triangle must have positive area, as InputMesh checks.
 
     Returns
     -------
@@ -75,10 +73,6 @@ def element_b_matrices(nodes: np.ndarray, triangles: np.ndarray):
     area : (m,) array
     """
     area = triangle_signed_areas(nodes, triangles)
-    scale = max(np.abs(nodes).max(initial=0.0), 1.0)
-    if np.any(area <= 1e-14 * scale**2):
-        bad = int(np.argmin(area))
-        raise AssemblyError(f"degenerate triangle {bad} (area {area[bad]:g})")
     p = nodes[triangles]                      # (m, 3, 2)
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -97,8 +91,7 @@ def element_stiffness(mesh: BrokenMesh, mat: Material) -> np.ndarray:
     """(m, 6, 6) CST element blocks B'DB a t, exactly symmetric.
 
     Each block is in the DOF order (u0x, u0y, u1x, u1y, u2x, u2y) of its
-    triangle. Raises AssemblyError for degenerate (non-positive area)
-    elements.
+    triangle.
     """
     B, area = element_b_matrices(mesh.nodes, mesh.triangles)
     ke = B.transpose(0, 2, 1) @ (mat.d_matrix() @ B)
@@ -114,8 +107,7 @@ def assemble_stiffness(mesh: BrokenMesh, mat: Material) -> sp.csr_matrix:
 
     Returns K as a CSR matrix over the broken-mesh DOFs (node-major:
     2 i, 2 i + 1 are node i's x and y). One-point integration, exact for
-    constant-strain triangles. Raises AssemblyError for degenerate
-    (non-positive area) elements.
+    constant-strain triangles.
 
     Triangle t owns private nodes 3t..3t+2 and so DOFs 6t..6t+5: row
     6t + i of K is row i of the element block, and the blocks laid end

@@ -23,10 +23,6 @@ class ConfigError(CohadmError):
     """Invalid run configuration (bad value, missing key, broken invariant)."""
 
 
-class AssemblyError(CohadmError):
-    """Stiffness assembly failed (degenerate element, dimension mismatch)."""
-
-
 class SingularSystemError(CohadmError):
     """The reduced ADMM system matrix is singular.
 
@@ -59,16 +55,19 @@ class ConvergenceError(CohadmError):
 class StagnationError(ConvergenceError):
     """A load step's relative residual r = max(primal / c_primal,
     dual / c_dual) rose far above the least value it had reached within
-    the step. ``best`` is that least r, reached at ``best_iteration``."""
+    the step (``how`` is "diverged"), or set no new least value for too
+    many iterations ("stalled"). ``best`` is that least r, reached at
+    ``best_iteration``."""
 
-    def __init__(self, step, iterations, primal, dual, best, best_iteration):
+    def __init__(self, step, iterations, primal, dual, best, best_iteration, how):
         self.best = best
         self.best_iteration = best_iteration
+        self.how = how
         super().__init__(step, iterations, primal, dual)
 
     def __str__(self):
         return (
-            f"step {self.step} diverged at iteration {self.iterations} "
+            f"step {self.step} {self.how} at iteration {self.iterations} "
             f"(primal={self.primal:.3e}, dual={self.dual:.3e}); its least "
             f"relative residual was {self.best:.3e}, at iteration "
             f"{self.best_iteration}"

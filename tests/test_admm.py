@@ -42,16 +42,14 @@ def step_context(solver, delta_max):
     )
 
 
-def make_solver(mesh, material, params, config, fixed_spec, sink=None):
+def make_solver(mesh, material, params, config, fixed_spec):
     """Assemble everything for a mesh and Dirichlet specification."""
     bm = break_mesh(mesh)
     jump = build_jump_operator(bm, material.thickness)
     stiffness = assemble_stiffness(bm, material)
     dofs = [bm.dofs_of(mesh.boundary_sets[name], comps) for name, comps in fixed_spec]
     dirichlet = np.unique(np.concatenate(dofs))
-    solver = AdmmSolver(
-        stiffness, jump, params, config, dirichlet, bm.nodes, iteration_sink=sink,
-    )
+    solver = AdmmSolver(stiffness, jump, params, config, dirichlet, bm.nodes)
     return bm, jump, stiffness, solver, dirichlet
 
 
@@ -783,6 +781,45 @@ class TestRunStep:
         assert str(e).startswith(f"step 6 diverged at iteration {e.iterations} ")
         assert f"at iteration {e.best_iteration}" in str(e)
 
+    def test_stall_fails_by_name(self, soft_material, params, monkeypatch):
+        """Tolerances below roundoff, without acceleration: the primal
+        residual settles in its roundoff band and r sets no new least
+        value, so the step fails STALL_WINDOW iterations after its last
+        one, long before max_iters, and says it stalled."""
+        monkeypatch.setattr(admm, "ANDERSON_WINDOW", 0)
+        schedule = LoadSchedule(
+            bc_set="right", direction="x", u_end=0.002, n_steps=2,
+            fixed_sets=(("left", "x"), ("pin", "y")),
+        )
+        cfg = AdmmConfig(c_primal=1e-30, c_dual=1e-30)
+        with pytest.raises(StagnationError) as err:
+            run_quasistatic(rect_strip(4.0, 2.0, 4, 4), soft_material, params,
+                            schedule, cfg)
+        e = err.value
+        assert e.iterations == e.best_iteration + admm.STALL_WINDOW
+        assert e.iterations < cfg.max_iters
+        r = max(e.primal / cfg.c_primal, e.dual / cfg.c_dual)
+        assert e.best <= r <= admm.BLOWUP_FACTOR * e.best
+        assert str(e).startswith(f"step {e.step} stalled at iteration {e.iterations} ")
+
+    def test_iteration_sink_sees_only_its_own_step(self, soft_material, params):
+        """The sink is an argument of run_step: each call reports its own
+        iterations to its own sink, and a call without one reports none."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        delta_max = np.zeros(jump.n_points)
+        bc = self.bc_values(dirichlet, right, 1e-3)
+        first, second = [], []
+        one = solver.run_step(solver.initial_state(), bc, delta_max, step=1,
+                              iteration_sink=lambda *entry: first.append(entry))
+        solver.run_step(one.state, 2 * bc, delta_max, step=2)
+        two = solver.run_step(one.state, 3 * bc, delta_max, step=3,
+                              iteration_sink=lambda *entry: second.append(entry))
+        for entries, step, result in ((first, 1, one), (second, 3, two)):
+            iters = range(1, result.iterations + 1)
+            assert [entry[:2] for entry in entries] == [(step, it) for it in iters]
+
     def test_restart_from_converged_state(self, soft_material, params):
         """Plain and over-relaxed maps share their fixed point."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
@@ -1208,12 +1245,14 @@ def check_every_step(monkeypatch):
     counts, penalties = [], set()
     histories = {}      # one Anderson history per penalty
 
-    def checked(self, state0, bc_values, delta_max, step=0):
+    def checked(
+        self, state0, bc_values, delta_max, step=0, iteration_sink=None
+    ):
         want, want_iters = reference_run_step(
             self, state0, bc_values, delta_max.copy(),
             histories.setdefault(self.rho, {}),
         )
-        got = run_step(self, state0, bc_values, delta_max, step)
+        got = run_step(self, state0, bc_values, delta_max, step, iteration_sink)
         assert got.iterations == want_iters, f"step {step}"
         for name in ("u", "delta", "y"):
             # bytes, so that a flipped sign of zero counts as a change

@@ -9,7 +9,8 @@ import pytest
 
 from cohadm.admm import AdmmSolver
 from cohadm.cli import main
-from cohadm.fileio import RunWriter, parse_config, write_mesh
+from cohadm.fileio import RunWriter, parse_config, parse_mesh, write_mesh
+from cohadm.mesh import GAUSS_PER_EDGE, break_mesh
 from cohadm.meshgen import rect_strip
 
 CONFIG = """\
@@ -286,6 +287,24 @@ def test_run_nonconvergence_exits_two(strip_inputs, tmp_path, capsys):
     assert err.startswith("error: convergence:")
     # partial rows were flushed before the failure
     assert (tmp_path / "nc" / "stress_strain.csv").exists()
+
+
+def test_failed_run_writes_its_fields(strip_inputs, tmp_path, capsys):
+    """A run that fails to converge still writes crack_field.csv, whole,
+    for its last converged step."""
+    mesh_path, config_path = strip_inputs
+    text = config_path.read_text().replace("alpha: 100.0", "alpha: 100.0\n  max_iters: 1")
+    config_path.write_text(text + "output:\n  per_step_fields: true\n")
+    out = tmp_path / "nc"
+    code = main(["run", "--mesh", str(mesh_path), "--config", str(config_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: convergence:")
+    last = int((out / "stress_strain.csv").read_text().splitlines()[-1].split(",")[0])
+    field = (out / "crack_field.csv").read_bytes()
+    assert field == (out / f"crack_field_step{last:04d}.csv").read_bytes()
+    n_points = GAUSS_PER_EDGE * len(break_mesh(parse_mesh(mesh_path)).interfaces)
+    assert field.count(b"\n") == 1 + n_points
 
 
 def test_run_blowup_exits_two(strip_inputs, tmp_path, capsys, monkeypatch):

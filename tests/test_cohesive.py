@@ -224,6 +224,14 @@ class TestSolveLocal:
         mine = local_objective(delta, p, 1.0, dm, rho, params)
         assert mine <= brute + 1e-8 * (SC * DC)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_history_at_mixity_two_warns_nothing(self):
+        """A tiny, non-subnormal delta_max gives a finite secant slope that
+        beta^2 overflows to inf: the point loads, with no warning."""
+        params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=2.0)
+        delta = solve_local([50.0, 3.0], 4.0, 1e-307, 100 * 4 * SC / DC, params)
+        assert np.allclose(delta, [7.32108642e-04, 2.59129920e-05], rtol=1e-8)
+
     def test_convexity_includes_mixity(self):
         params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=2.0)
         rho = 2.0 * SC / DC   # above the plain bound, below beta^2 times it

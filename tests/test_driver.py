@@ -15,6 +15,7 @@ from cohadm.driver import (
     ExtrapolationPolicy,
     LoadSchedule,
     StateScale,
+    build_problem,
     extrapolate,
     extrapolation_quality,
     run_quasistatic,
@@ -383,20 +384,31 @@ def test_every_dof_prescribed(params):
         fixed_sets=(("left", "xy"), ("right", "y")),
     )
     mesh = single_triangle()
-    built = {}
-
-    def keep(broken, jump, solver):
-        built.update(broken=broken, solver=solver)
-
-    record = run_quasistatic(
-        mesh, UNIT_CST, params, sched, AdmmConfig(), setup_sink=keep
-    )
-    assert built["solver"].fact.backend is None
+    problem = build_problem(mesh, UNIT_CST, params, sched)
+    assert problem.solver(AdmmConfig()).fact.backend is None
+    record = run_quasistatic(mesh, UNIT_CST, params, sched, AdmmConfig())
     assert [r.iterations for r in record.rows[1:]] == [1, 1, 1]
-    broken = built["broken"]
+    broken = problem.mesh
     expected = np.zeros(broken.n_dof)
     expected[broken.dofs_of(mesh.boundary_sets["right"], "x")] = 3.0
     assert np.array_equal(record.final_state.u, expected)
+
+
+def test_problem_keeps_one_solver_per_config(soft_material, params, monkeypatch):
+    """problem.solver builds a solver, and its factor, on the first
+    request for a config, and returns that solver for every equal one."""
+    rhos = count_factors(monkeypatch)
+    problem = build_problem(
+        rect_strip(4.0, 2.0, 4, 2), soft_material, params, small_strip_schedule(1e-3, 2)
+    )
+    solver = problem.solver(AdmmConfig())
+    assert problem.solver(AdmmConfig()) is solver
+    lower = problem.solver(AdmmConfig(alpha=60.0))
+    assert lower is not solver
+    assert problem.solver(AdmmConfig(alpha=60.0)) is lower
+    assert rhos == [solver.rho, lower.rho]
+    for kept in (solver, lower):
+        assert kept.K is problem.K and kept.jump is problem.jump
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -459,9 +471,11 @@ def record_step_penalties(monkeypatch):
     steps, reactions = [], []
     run_step, reaction = admm.AdmmSolver.run_step, admm.AdmmSolver.reaction
 
-    def run_step_logged(self, state0, bc_values, delta_max, step=0):
+    def run_step_logged(
+        self, state0, bc_values, delta_max, step=0, iteration_sink=None
+    ):
         steps.append((np.count_nonzero(delta_max), self.rho))
-        return run_step(self, state0, bc_values, delta_max, step)
+        return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
 
     def reaction_logged(self, state, nodes):
         reactions.append(self.rho)
@@ -508,9 +522,11 @@ class TestActivationPenalty:
         monkeypatch.setattr(admm, "factorize_system", kept)
         run_step, solvers = admm.AdmmSolver.run_step, []
 
-        def run_step_logged(self, state0, bc_values, delta_max, step=0):
+        def run_step_logged(
+            self, state0, bc_values, delta_max, step=0, iteration_sink=None
+        ):
             solvers.append(self)
-            return run_step(self, state0, bc_values, delta_max, step)
+            return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
 
         monkeypatch.setattr(admm.AdmmSolver, "run_step", run_step_logged)
         fracture_run(AdmmConfig(alpha=100.0))
@@ -554,11 +570,13 @@ class TestActivationPenalty:
         run_step = admm.AdmmSolver.run_step
         last = []
 
-        def clear_on_switch(self, state0, bc_values, delta_max, step=0):
+        def clear_on_switch(
+            self, state0, bc_values, delta_max, step=0, iteration_sink=None
+        ):
             if last and last[-1] is not self:
                 self._anderson.clear()
             last.append(self)
-            return run_step(self, state0, bc_values, delta_max, step)
+            return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
 
         monkeypatch.setattr(admm.AdmmSolver, "run_step", clear_on_switch)
         cleared = fracture_run()

@@ -7,8 +7,7 @@ from cohadm.elasticity import (
     elastic_energy,
     element_b_matrices,
 )
-from cohadm.errors import AssemblyError
-from cohadm.mesh import BrokenMesh, InputMesh, break_mesh
+from cohadm.mesh import InputMesh, break_mesh
 from cohadm.meshgen import porous_plate, rect_strip
 
 from oracles import assert_same_csr, coo_stiffness, cst_energy
@@ -166,20 +165,6 @@ def test_stiffness_scales_linearly_with_modulus(two_triangle_square):
     k1 = assemble_stiffness(bm, base)
     k7 = assemble_stiffness(bm, scaled)
     assert np.allclose(k7.toarray(), 7.0 * k1.toarray(), rtol=1e-14)
-
-
-def test_degenerate_triangle_rejected(soft_material):
-    # an InputMesh refuses a collinear triangle when it is built, so the
-    # broken mesh is made by hand to reach the assembly's own check
-    bm = BrokenMesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-        triangles=np.arange(3).reshape(1, 3),
-        origin_of=np.arange(3),
-        interfaces=np.zeros((0, 4), dtype=np.int64),
-        input_mesh=None,   # assembly reads only the broken mesh
-    )
-    with pytest.raises(AssemblyError, match="degenerate"):
-        assemble_stiffness(bm, soft_material)
 
 
 def test_b_matrix_constant_strain():

@@ -198,6 +198,16 @@ def test_clockwise_triangle_rejected():
         )
 
 
+def test_collinear_triangle_rejected():
+    """A zero-area triangle never reaches the assembly, which divides by
+    the area."""
+    with pytest.raises(MeshError, match="triangle 0 has non-positive signed area 0"):
+        InputMesh(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+            triangles=np.array([[0, 1, 2]]),
+        )
+
+
 def test_disconnected_mesh_rejected():
     nodes = np.array(
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]
