@@ -19,15 +19,14 @@ zero, the next iterate depends on y alone, so type-II Anderson
 acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) extrapolates
 y alone from the last few iterates, as Zhang, Peng, Deng & Liu
 ("Accelerating ADMM for Efficient Simulation and Optimization", ACM TOG
-38(6), 2019) advise. A nonzero opening or a rising residual clears the history
-and takes the plain iterate, so acceleration never chooses between
-crack branches. The boundary values enter the map only through a
-constant offset, so the stored differences of one load step are kept
-for the next one (the recycling of Krylov subspaces across a sequence
-of linear systems, Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J.
-Sci. Comput. 28(5), 2006, applied to the Anderson differences). While
-no opening moves, the dual residual is zero and its A^T product is
-skipped.
+38(6), 2019) advise. A nonzero opening or a rising residual clears the
+history, so acceleration never chooses between crack branches. The
+boundary values enter the map only as a constant offset, so a step
+starts from the differences the last one returned as `AndersonRows`
+(Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci. Comput. 28(5),
+2006, recycle Krylov subspaces across a sequence of linear systems).
+While no opening moves, the dual residual is zero and its A^T product
+is skipped.
 """
 
 from __future__ import annotations
@@ -43,19 +42,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cohesive import (
-    CohesiveParams,
-    LocalSolveContext,
-    solve_local_batch,
-    validate_penalty,
+    CohesiveParams, LocalSolveContext, solve_local_batch, validate_penalty,
 )
 from .elasticity import reaction_force
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    SingularSystemError,
-    StagnationError,
-)
-from .mesh import JumpOperator
+from .errors import ConfigError, ConvergenceError, SingularSystemError, StagnationError
+from .mesh import JumpOperator, freeze
 
 log = logging.getLogger(__name__)
 
@@ -164,12 +155,28 @@ class AdmmConfig:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class AndersonRows:
+    """The Anderson differences a load step leaves, made at penalty rho:
+    rows [0, count) of the read-only ring buffers d_f and d_g, the next
+    row to write, `slot`, and the Gram matrix d_f d_f' of those rows."""
+
+    rho: float
+    d_f: np.ndarray
+    d_g: np.ndarray
+    gram: np.ndarray
+    count: int
+    slot: int
+
+
 @dataclass
 class StepResult:
-    """Converged solution of one load step."""
+    """Converged solution of one load step, and the Anderson rows it
+    leaves (None when it leaves none)."""
 
     state: SolverState
     iterations: int
+    anderson: AndersonRows | None = None
 
 
 def _rigid_basis(coords: np.ndarray) -> np.ndarray:
@@ -203,13 +210,9 @@ class _SuperLuBackend:
     operator with full 2x2 node blocks, so minimum degree eliminates a
     node's two DOFs together as one supervariable (George & Liu, SIAM
     Review 31(1), 1989). The solve kernel is chosen once, from the size
-    of the factor: `transposed` (trans="T") up to SMALL_FACTOR_NNZ stored
-    entries, `supernodal` (trans="N") above. Both solve the same system
-    only because the operator is exactly symmetric. The factorization
-    runs on panels of PANEL_SIZE columns instead of scipy's 20, which
-    leaves the ordering and the fill as they are and builds the 30k
-    strip's factor about 10% faster (Li, "An overview of SuperLU", ACM
-    TOMS 31(3), 2005, on the panel of the left-looking gstrf).
+    of the factor (SMALL_FACTOR_NNZ), and the factorization runs on
+    panels of PANEL_SIZE columns (Li, "An overview of SuperLU", ACM TOMS
+    31(3), 2005, on the panel of the left-looking gstrf).
     """
 
     def __init__(self, reduced: sp.csc_matrix, panel_size: int = PANEL_SIZE):
@@ -262,10 +265,7 @@ class Factorization:
 
 
 def factorize_system(
-    K: sp.spmatrix,
-    A: sp.spmatrix,
-    rho: float,
-    dirichlet_dofs: np.ndarray,
+    K: sp.spmatrix, A: sp.spmatrix, rho: float, dirichlet_dofs: np.ndarray,
     coords: np.ndarray,
 ) -> Factorization:
     """Factor K + rho A^T A with the constrained DOFs eliminated.
@@ -389,7 +389,8 @@ def _max_abs(v: np.ndarray) -> float:
 
 
 class _Anderson:
-    """Type-II Anderson acceleration of the multipliers, y = G(y).
+    """Type-II Anderson acceleration of the multipliers, y = G(y), in one
+    load step.
 
     The residual f = scale * (G(y) - y) and the map value g = G(y) of
     consecutive iterates are differenced into two ring buffers of m rows.
@@ -402,30 +403,29 @@ class _Anderson:
     order on one thread, so the iterates do not depend on the BLAS
     thread count.
 
-    The differences outlive a load step: the caller steps only while the
+    The step starts from the rows an earlier one left, never writes them
+    (its first push copies them) and hands its own on by `rows`; no
+    difference spans the step boundary. The caller steps only while the
     openings going into and coming out of an iteration are all zero and
-    clears the rows otherwise, so a carried row can change the path of
-    the next step but not its fixed point. Under that gate the openings
-    would add only zeros to f and g, so they are left out.
+    clears the rows otherwise, so a carried row can change the path of a
+    step but not its fixed point, and the openings, all zero, are left
+    out of f and g.
     """
 
-    def __init__(self, window: int, scale: np.ndarray):
+    def __init__(self, window: int, scale: np.ndarray, rows: AndersonRows | None = None):
         n = len(scale)
         self.scale = scale
-        self.d_f = np.empty((window, n))
-        self.d_g = np.empty((window, n))
-        self.gram = np.empty((window, window))
         self.proj = np.empty(window)      # d_f f of the last iterate
         self.f, self.f_prev = np.empty(n), np.empty(n)
         self.w = np.empty(n)
         self.clear()
-
-    def start(self) -> None:
-        """Begin a load step: keep the differences, forget the last
-        iterate. Its residual belongs to the last step's offset, so no
-        difference may be taken across the step boundary."""
-        self.norm_prev = None
-        self.g_prev = None
+        self.carried = rows       # the caller's rows, until the first push
+        if rows is None:
+            self.d_f, self.d_g = np.empty((window, n)), np.empty((window, n))
+            self.gram = np.empty((window, window))
+        else:
+            self.d_f, self.d_g, self.gram = rows.d_f, rows.d_g, rows.gram
+            self.count, self.slot = rows.count, rows.slot
 
     def clear(self) -> None:
         """Forget every iterate, the last one included."""
@@ -433,6 +433,17 @@ class _Anderson:
         self.slot = 0         # row the next difference goes to
         self.norm_prev = None
         self.g_prev = None    # the last map value
+
+    def rows(self, rho: float) -> AndersonRows | None:
+        """The valid rows, read-only, for the next step; None if none."""
+        if not self.count:
+            return None
+        if self.carried is None:
+            freeze(self.d_f, self.d_g, self.gram)
+            self.carried = AndersonRows(
+                rho, self.d_f, self.d_g, self.gram, self.count, self.slot
+            )
+        return self.carried
 
     def step(self, y, y_g):
         """Accelerated successor of y, or None for plain.
@@ -473,6 +484,12 @@ class _Anderson:
 
     def _push(self, y_g):
         """Store f - f_prev and g - g_prev; return their row, or None."""
+        if self.carried is not None:
+            # write to copies: the caller's rows stay as they were
+            self.d_f, self.d_g, self.gram = (
+                a.copy() for a in (self.d_f, self.d_g, self.gram)
+            )
+            self.carried = None
         s = self.slot
         d_f = np.subtract(self.f, self.f_prev, out=self.d_f[s])
         size2 = float(np.einsum("i,i", d_f, d_f))
@@ -499,26 +516,18 @@ class AdmmSolver:
     the factor matches the operator the iteration applies.
     What is fixed for one load step, because the damage history and the
     boundary values are frozen while it iterates, run_step builds as
-    locals and passes to the updates: coupling @ bc_values and the
-    LocalSolveContext. A step only solves: it reads the damage history
-    it is given and returns the converged state, and the caller commits
-    that history and takes the reaction (`reaction`) on the nodes it
-    chooses. The iteration sink, too, is an argument of the step, so the
-    Anderson differences are the one thing carried from step to step,
-    and a kept solver (driver.Problem.solver) holds nothing else of a
-    run.
-    Exclusive access is assumed while run_step executes; the underlying
-    matrices are immutable and may be shared across threads.
+    locals: coupling @ bc_values and the LocalSolveContext. A step only
+    solves, and what carries between steps (the damage history and the
+    Anderson rows) goes in and out as arguments and results; the caller
+    commits the history and takes the reaction (`reaction`) on the nodes
+    it chooses. So a kept solver (driver.Problem.solver) holds nothing of
+    a run. Exclusive access is assumed while run_step executes; the
+    underlying matrices are immutable and may be shared across threads.
     """
 
     def __init__(
-        self,
-        K: sp.csr_matrix,
-        jump: JumpOperator,
-        params: CohesiveParams,
-        config: AdmmConfig,
-        dirichlet_dofs: np.ndarray,
-        coords: np.ndarray,
+        self, K: sp.csr_matrix, jump: JumpOperator, params: CohesiveParams,
+        config: AdmmConfig, dirichlet_dofs: np.ndarray, coords: np.ndarray,
     ):
         self.K = K
         self.jump = jump
@@ -540,10 +549,6 @@ class AdmmSolver:
         self._drive = np.empty(2 * jump.n_points)      # rho delta - y
         self._primal = np.empty(2 * jump.n_points)
         self._jump_step = np.empty(2 * jump.n_points)
-        self._anderson = None
-        if ANDERSON_WINDOW > 0 and jump.n_points:
-            # residual of y in pressure units
-            self._anderson = _Anderson(ANDERSON_WINDOW, 1.0 / self._areas2)
 
     @property
     def n_points(self) -> int:
@@ -553,10 +558,7 @@ class AdmmSolver:
         return SolverState.zeros(self.jump.n_dof, self.jump.n_points)
 
     def u_update(
-        self,
-        y: np.ndarray,
-        delta: np.ndarray,
-        bc_values: np.ndarray,
+        self, y: np.ndarray, delta: np.ndarray, bc_values: np.ndarray,
         lifted: np.ndarray,
     ) -> np.ndarray:
         """Global quadratic minimization at fixed openings and multipliers.
@@ -601,24 +603,18 @@ class AdmmSolver:
         return reaction_force(self.K, self.jump, self.rho, state, nodes)
 
     def run_step(
-        self,
-        state0: SolverState,
-        bc_values: np.ndarray,
-        delta_max: np.ndarray,
-        step: int = 0,
-        iteration_sink=None,
+        self, state0: SolverState, bc_values: np.ndarray, delta_max: np.ndarray,
+        anderson: AndersonRows | None = None, step: int = 0, iteration_sink=None,
     ) -> StepResult:
         """Iterate u -> delta -> y until both residuals pass.
 
         The damage history delta_max is frozen, so each step minimizes a
         fixed functional; committing the converged openings to it is the
-        caller's concern. Anderson acceleration picks the next y while
-        the openings going into and coming out of an iteration are all
-        zero, starting from the differences the last step left; the
+        caller's concern. Anderson acceleration starts from the rows
+        `anderson` an earlier step left, unless they were made at another
+        penalty, and the result carries the rows this step leaves; the
         returned state is always the output of the plain map. No argument
-        is written to: every iterate is a new array or the Anderson
-        buffer, so a step changes nothing outside the solver except its
-        Anderson rows. iteration_sink(step, iter, primal, dual), when
+        is written to. iteration_sink(step, iter, primal, dual), when
         given, sees every iteration of this call and of no other. Raises
         ConvergenceError when the iteration cap is exhausted or at the
         first non-finite residual, and its subclass StagnationError once
@@ -631,9 +627,12 @@ class AdmmSolver:
         c_primal, c_dual = self.config.c_primal, self.config.c_dual
         best, best_it = math.inf, 0
         au_hat = np.empty_like(delta)
-        anderson = self._anderson
-        if anderson is not None:
-            anderson.start()
+        if anderson is not None and anderson.rho != self.rho:
+            anderson = None
+        history = None
+        if ANDERSON_WINDOW > 0 and self.n_points:
+            # residual of y in pressure units
+            history = _Anderson(ANDERSON_WINDOW, 1.0 / self._areas2, anderson)
             # whether an opening going into the iteration is nonzero; each
             # iteration scans only the openings it puts out
             open_in = delta.any()
@@ -655,7 +654,8 @@ class AdmmSolver:
                 raise ConvergenceError(step, it, primal, dual)
             if primal < c_primal and dual < c_dual:
                 state = SolverState(u=u, delta=delta_g, y=y_g)
-                return StepResult(state=state, iterations=it)
+                rows = history.rows(self.rho) if history is not None else None
+                return StepResult(state=state, iterations=it, anderson=rows)
             r = max(primal / c_primal, dual / c_dual)
             if r < best:
                 best, best_it = r, it
@@ -664,12 +664,12 @@ class AdmmSolver:
             elif it - best_it >= STALL_WINDOW:
                 raise StagnationError(step, it, primal, dual, best, best_it, "stalled")
             accelerated = None
-            if anderson is not None:
+            if history is not None:
                 open_out = delta_g.any()
                 if open_in or open_out:
-                    anderson.clear()
+                    history.clear()
                 else:
-                    accelerated = anderson.step(y, y_g)
+                    accelerated = history.step(y, y_g)
                 open_in = open_out
             delta = delta_g
             y = y_g if accelerated is None else accelerated

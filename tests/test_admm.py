@@ -660,7 +660,7 @@ class TestRunStep:
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-4)
         first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
-        again = solver.run_step(first.state, bc, delta_max, step=2)
+        again = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
         assert again.iterations <= 2
 
     def test_elastic_step_matches_conforming_fea(self, soft_material, params):
@@ -813,8 +813,8 @@ class TestRunStep:
         first, second = [], []
         one = solver.run_step(solver.initial_state(), bc, delta_max, step=1,
                               iteration_sink=lambda *entry: first.append(entry))
-        solver.run_step(one.state, 2 * bc, delta_max, step=2)
-        two = solver.run_step(one.state, 3 * bc, delta_max, step=3,
+        skipped = solver.run_step(one.state, 2 * bc, delta_max, one.anderson, step=2)
+        two = solver.run_step(one.state, 3 * bc, delta_max, skipped.anderson, step=3,
                               iteration_sink=lambda *entry: second.append(entry))
         for entries, step, result in ((first, 1, one), (second, 3, two)):
             iters = range(1, result.iterations + 1)
@@ -831,7 +831,7 @@ class TestRunStep:
         assert first.iterations > 1
         commit_history(delta_max, first.state.delta, params)
         assert delta_max.max() > 0.0
-        again = solver.run_step(first.state, bc, delta_max, step=2)
+        again = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
         assert again.iterations == 1
         cfg = solver.config
         tol = 10 * cfg.c_primal * jump.areas.mean() / solver.rho
@@ -842,8 +842,9 @@ class TestRunStep:
         )
 
     def test_leaves_its_inputs_alone(self, soft_material, params):
-        """A step past activation writes neither its warm start nor the
-        damage history; committing is the caller's concern."""
+        """A step past activation writes neither its warm start, the
+        damage history nor the Anderson rows; committing is the caller's
+        concern."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params
         )
@@ -851,14 +852,14 @@ class TestRunStep:
             solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
             np.zeros(jump.n_points), step=1,
         )
-        state0 = first.state
+        state0, rows = first.state, first.anderson
         delta_max = np.zeros(jump.n_points)
-        before = [a.copy() for a in (delta_max, state0.u, state0.delta, state0.y)]
+        inputs = (delta_max, state0.u, state0.delta, state0.y, rows.d_f, rows.d_g)
+        before = [a.copy() for a in inputs]
         bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
-        result = solver.run_step(state0, bc, delta_max, step=2)
+        result = solver.run_step(state0, bc, delta_max, rows, step=2)
         assert result.iterations > 1 and result.state.delta.any()
-        after = (delta_max, state0.u, state0.delta, state0.y)
-        for old, new in zip(before, after):
+        for old, new in zip(before, inputs):
             assert new.tobytes() == old.tobytes()
         assert not delta_max.any()
 
@@ -909,12 +910,10 @@ class TestRunStep:
         )
         commit_history(delta_max, first.state.delta, params)
         assert not delta_max.any()
+        assert first.anderson.count > 0 and first.anderson.rho == solver.rho
         bc = self.bc_values(dirichlet, right, 2e-3)
-        carried = solver.run_step(first.state, bc, delta_max, step=2)
-        unused_solver = self.stretch_setup(soft_material, params, c=c)[4]
-        fresh = unused_solver.run_step(
-            first.state, bc, np.zeros(jump.n_points), step=2
-        )
+        carried = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
+        fresh = solver.run_step(first.state, bc, delta_max, step=2)
         assert carried.iterations <= 3 < fresh.iterations
         tol = 10 * c * jump.areas.mean() / solver.rho
         assert np.abs(carried.state.u - fresh.state.u).max() <= tol
@@ -928,31 +927,21 @@ class TestRunStep:
     ):
         """Raised damage does not clear the rows at the step boundary, but
         the damaged point opens at the first iterate, which clears them:
-        the step takes the plain map bit for bit."""
+        the step takes the plain map bit for bit and leaves no rows."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params, c=1e-3
         )
-        plain_update = solver.delta_update
-        counts = []
-
-        def recorded(au, y, local):
-            counts.append(solver._anderson.count)
-            return plain_update(au, y, local)
-
-        solver.delta_update = recorded
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        state = solver.run_step(
-            solver.initial_state(), bc, delta_max, step=1
-        ).state
-        state = solver.run_step(state, bc, delta_max, step=2).state
+        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        second = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
+        state = second.state
         opened = np.zeros(2 * jump.n_points)
         opened[0] = 0.1 * params.delta_c
         commit_history(delta_max, opened, params)
-        counts.clear()
-        damaged = solver.run_step(state, bc, delta_max, step=3)
-        assert counts[0] > 0          # the rows carry into the step
-        assert len(counts) > 1 and not any(counts[1:])
+        damaged = solver.run_step(state, bc, delta_max, second.anderson, step=3)
+        assert second.anderson.count > 0          # the rows carry into the step
+        assert damaged.iterations > 1 and damaged.anderson is None
         monkeypatch.setattr(admm, "ANDERSON_WINDOW", 0)
         plain_solver = self.stretch_setup(soft_material, params, c=1e-3)[4]
         plain = plain_solver.run_step(state, bc, delta_max, step=3)
@@ -961,46 +950,99 @@ class TestRunStep:
             got, want = getattr(damaged.state, name), getattr(plain.state, name)
             assert got.tobytes() == want.tobytes(), name
 
-    def test_anderson_buffers_hold_multipliers_only(self, soft_material, params):
+    def test_anderson_buffers_hold_multipliers_only(
+        self, soft_material, params, monkeypatch
+    ):
         """Rows, residuals and the result have one column per multiplier
         entry, and the residual is scaled by 1 / a alone."""
-        _, _, jump, _, solver, _, _ = self.stretch_setup(soft_material, params)
-        anderson = solver._anderson
+        _, _, jump, _, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params
+        )
+        made = []
+
+        class Recorded(admm._Anderson):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(admm, "_Anderson", Recorded)
+        result = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            np.zeros(jump.n_points), step=1,
+        )
+        rows, (anderson,) = result.anderson, made
         n = 2 * jump.n_points
-        assert anderson.d_f.shape == anderson.d_g.shape == (admm.ANDERSON_WINDOW, n)
+        assert rows.d_f.shape == rows.d_g.shape == (admm.ANDERSON_WINDOW, n)
         for buffer in (anderson.f, anderson.f_prev, anderson.w):
             assert buffer.shape == (n,)
         assert np.array_equal(anderson.scale, 1.0 / np.repeat(jump.areas, 2))
 
+    def test_carried_rows_stay_as_they_were(self, soft_material, params):
+        """A step copies the rows it is given before its first push, and
+        hands on read-only rows; rows of another penalty are dropped, so
+        the step runs as from none. The second step runs at a tighter
+        tolerance, on a solver of the same penalty, so that it pushes."""
+        mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
+            soft_material, params, c=1e-3
+        )
+        delta_max = np.zeros(jump.n_points)
+        first = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            delta_max, step=1,
+        )
+        rows = first.anderson
+        kept = [a.copy() for a in (rows.d_f, rows.d_g, rows.gram)]
+        tight = AdmmSolver(
+            stiffness, jump, params, AdmmConfig(c_primal=1e-5, c_dual=1e-5),
+            dirichlet, bm.nodes,
+        )
+        assert tight.rho == solver.rho
+        bc = self.bc_values(dirichlet, right, 2e-3)
+        second = tight.run_step(first.state, bc, delta_max, rows, step=2)
+        assert second.anderson.d_f is not rows.d_f
+        for a, b in zip((rows.d_f, rows.d_g, rows.gram), kept):
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+        other = dataclasses.replace(rows, rho=0.5 * solver.rho)
+        dropped = tight.run_step(first.state, bc, delta_max, other, step=2)
+        none = tight.run_step(first.state, bc, delta_max, step=2)
+        assert dropped.iterations == none.iterations > second.iterations
+        for name in ("u", "delta", "y"):
+            got, want = getattr(dropped.state, name), getattr(none.state, name)
+            assert got.tobytes() == want.tobytes(), name
+
     def test_anderson_cleared_by_a_nonzero_input_opening(self, soft_material, params):
         """An iterate that starts from a nonzero opening clears the rows,
-        even when the openings it produces are all zero."""
+        even when the openings it produces are all zero: the step runs bit
+        for bit as from no rows."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params, c=1e-3
         )
         plain_update = solver.delta_update
-        counts, openings = [], []
+        openings = []
 
         def recorded(au, y, local):
-            counts.append(solver._anderson.count)
             delta = plain_update(au, y, local)
             openings.append(delta.any())
             return delta
 
         solver.delta_update = recorded
         delta_max = np.zeros(jump.n_points)
-        state = solver.run_step(
+        first = solver.run_step(
             solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
             delta_max, step=1,
-        ).state
-        start = dataclasses.replace(state, delta=state.delta.copy())
+        )
+        start = dataclasses.replace(first.state, delta=first.state.delta.copy())
         start.delta[0] = 1e-9
-        counts.clear()
         openings.clear()
-        solver.run_step(start, self.bc_values(dirichlet, right, 2e-3), delta_max, 2)
-        assert counts[0] > 0          # the rows carry into the step
+        bc = self.bc_values(dirichlet, right, 2e-3)
+        carried = solver.run_step(start, bc, delta_max, first.anderson, step=2)
+        assert first.anderson.count > 0          # the rows carry into the step
         assert not openings[0]
-        assert len(counts) > 1 and counts[1] == 0
+        fresh = solver.run_step(start, bc, delta_max, step=2)
+        assert carried.iterations == fresh.iterations > 1
+        for name in ("u", "delta", "y"):
+            got, want = getattr(carried.state, name), getattr(fresh.state, name)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_anderson_off_while_points_load(self, soft_material, params, monkeypatch):
         """A nonzero opening at every iterate leaves the plain map bit for bit."""
@@ -1019,24 +1061,32 @@ class TestRunStep:
     def test_nonfinite_residual_fails_fast_when_accelerated(
         self, soft_material, params
     ):
+        """The first iterate of a step given rows, with no opening in or
+        out, is accelerated; a NaN in the iterate after it fails at once."""
         mesh, bm, jump, stiffness, solver, dirichlet, right = self.stretch_setup(
             soft_material, params, c=1e-4
         )
+        delta_max = np.zeros(jump.n_points)
+        first = solver.run_step(
+            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            delta_max, step=3,
+        )
         plain_update = solver.delta_update
-        calls = []
+        openings = []
 
         def poisoned(au, y, local):
-            calls.append(solver._anderson.count)
             delta = plain_update(au, y, local)
-            return np.full_like(delta, np.nan) if len(calls) == 4 else delta
+            openings.append(delta.any())
+            return np.full_like(delta, np.nan) if len(openings) == 2 else delta
 
         solver.delta_update = poisoned
-        delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # before activation
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, delta_max, step=4)
-        assert calls[-1] > 0          # the poisoned iterate was accelerated
-        assert err.value.iterations == 4
+            solver.run_step(first.state, bc, delta_max, first.anderson, step=4)
+        # the poisoned iterate was accelerated
+        assert first.anderson.count > 0 and not first.state.delta.any()
+        assert not openings[0]
+        assert err.value.iterations == 2
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
 
     def test_reaction_equilibrium(self, soft_material, params):
@@ -1160,24 +1210,20 @@ def test_anderson_carried_rows_solve_a_shifted_map():
     b1, b2 = rng.normal(size=(2, n))
     scale = rng.uniform(0.5, 2.0, size=n)
 
-    def solve(accel, w, b):
-        accel.start()
+    def solve(rows, w, b):
+        accel = admm._Anderson(window, scale, rows)
         fixed = np.linalg.solve(np.eye(n) - M, b)
         for it in range(1, 100):
             g = M @ w + b
             if np.abs(g - fixed).max() < 1e-8:
-                return it, g
+                return it, g, accel.rows(1.0)
             nxt = accel.step(w, g)
             w = g if nxt is None else nxt
         raise AssertionError("no convergence")
 
-    carried = admm._Anderson(window, scale)
-    _, w1 = solve(carried, np.zeros(n), b1)
-    with_rows, _ = solve(carried, w1, b2)
-    cleared = admm._Anderson(window, scale)
-    solve(cleared, np.zeros(n), b1)
-    cleared.clear()
-    without_rows, _ = solve(cleared, w1, b2)
+    _, w1, rows = solve(None, np.zeros(n), b1)
+    with_rows, _, _ = solve(rows, w1, b2)
+    without_rows, _, _ = solve(None, w1, b2)
     assert with_rows < without_rows
 
 
@@ -1246,13 +1292,16 @@ def check_every_step(monkeypatch):
     histories = {}      # one Anderson history per penalty
 
     def checked(
-        self, state0, bc_values, delta_max, step=0, iteration_sink=None
+        self, state0, bc_values, delta_max, anderson=None, step=0,
+        iteration_sink=None,
     ):
         want, want_iters = reference_run_step(
             self, state0, bc_values, delta_max.copy(),
             histories.setdefault(self.rho, {}),
         )
-        got = run_step(self, state0, bc_values, delta_max, step, iteration_sink)
+        got = run_step(
+            self, state0, bc_values, delta_max, anderson, step, iteration_sink
+        )
         assert got.iterations == want_iters, f"step {step}"
         for name in ("u", "delta", "y"):
             # bytes, so that a flipped sign of zero counts as a change

@@ -127,6 +127,14 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="overlap"):
             run_quasistatic(mesh, soft_material, params, sched, AdmmConfig())
 
+    def test_nonzero_u_start_rejected(self):
+        """Step 0 is the all-zero state, which meets no other boundary
+        value, so a ramp must start at 0."""
+        for value in (1e-3, -1e-3):
+            with pytest.raises(ConfigError, match="u_start must be 0"):
+                LoadSchedule(bc_set="right", direction="x", u_start=value,
+                             u_end=1e-2, n_steps=2)
+
     def test_policy_threshold_validated(self):
         with pytest.raises(ConfigError):
             ExtrapolationPolicy(enabled=True, quality_threshold=1.0)
@@ -228,18 +236,20 @@ def residual_log():
     return []
 
 
-def fracture_run(config=AdmmConfig(), iteration_sink=None, beta=1.0):
+FRACTURE_SCHEDULE = LoadSchedule(
+    bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
+    fixed_sets=(("left", "x"), ("pin", "y")),
+)
+FRACTURE_MATERIAL = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
+                             mode="plane_stress", thickness=1.0)
+
+
+def fracture_run(config=AdmmConfig(), iteration_sink=None, beta=1.0, step_sink=None):
     """60 steps on a 4x4-cell strip, through the peak into softening."""
-    mesh = rect_strip(4.0, 2.0, 4, 4)
-    mat = Material(youngs_modulus=3000.0, poisson_ratio=0.2,
-                   mode="plane_stress", thickness=1.0)
     params = CohesiveParams(sigma_c=SC, delta_c=DC, beta=beta)
-    sched = LoadSchedule(
-        bc_set="right", direction="x", u_start=0.0, u_end=0.012, n_steps=60,
-        fixed_sets=(("left", "x"), ("pin", "y")),
-    )
     return run_quasistatic(
-        mesh, mat, params, sched, config, iteration_sink=iteration_sink
+        rect_strip(4.0, 2.0, 4, 4), FRACTURE_MATERIAL, params, FRACTURE_SCHEDULE,
+        config, iteration_sink=iteration_sink, step_sink=step_sink,
     )
 
 
@@ -334,6 +344,57 @@ class TestFractureRun:
         assert peak > 0.0
         assert np.abs(relaxed.stresses - plain.stresses).max() <= 0.01 * peak
         assert relaxed.total_iterations < plain.total_iterations
+
+
+def test_each_step_sink_gets_its_own_history():
+    """Every step, step 0 included, hands the sink a damage history of its
+    own, read-only, so a sink may keep them all: they never decrease from
+    step to step, and the last is the record's."""
+    kept = []
+    record = fracture_run(step_sink=lambda row, state, delta_max: kept.append(delta_max))
+    assert len(kept) == len(record.rows) == 61
+    for earlier, later in zip(kept, kept[1:]):
+        assert not np.shares_memory(earlier, later)
+        assert np.all(later >= earlier)
+    assert all(not history.flags.writeable for history in kept)
+    assert not kept[0].any() and kept[-1].any()
+    assert kept[-1] is record.delta_max
+
+
+def state_bytes(state):
+    """Every array and number of a RunState past step 0 that holds
+    Anderson rows, as comparable values."""
+    z, before, rows = state.z, state.z_before, state.anderson
+    k = rows.count
+    arrays = (z.u, z.delta, z.y, before.u, before.delta, before.y,
+              state.delta_max, rows.d_f[:k], rows.d_g[:k], rows.gram[:k, :k])
+    numbers = (state.step, state.quality, state.activated, rows.rho, k, rows.slot)
+    return [a.tobytes() for a in arrays], numbers
+
+
+def test_advance_again_from_the_same_state(params):
+    """A step solved twice from one RunState gives the same next state,
+    Anderson rows and row (but for wall_ms), and leaves that state as it
+    was, so a step can be retried or forked. At this tolerance step 2
+    pushes rows onto the ones step 1 left."""
+    problem = build_problem(
+        rect_strip(4.0, 2.0, 4, 4), FRACTURE_MATERIAL, params, FRACTURE_SCHEDULE
+    )
+    config, policy = AdmmConfig(c_primal=1e-6, c_dual=1e-6), ExtrapolationPolicy()
+    state, _ = driver.advance(
+        problem, driver.start(problem)[0], FRACTURE_SCHEDULE.applied(1), config,
+        policy,
+    )
+    before = state_bytes(state)
+    target = FRACTURE_SCHEDULE.applied(2)
+    first, first_row = driver.advance(problem, state, target, config, policy)
+    again, again_row = driver.advance(problem, state, target, config, policy)
+    assert state_bytes(state) == before
+    assert first.anderson.d_f is not state.anderson.d_f     # the step pushed rows
+    assert state_bytes(first) == state_bytes(again)
+    assert first.quality is not None
+    first_row.wall_ms = again_row.wall_ms = 0.0
+    assert first_row == again_row
 
 
 def test_nonconvergence_carries_partial_record(soft_material, params):
@@ -472,10 +533,13 @@ def record_step_penalties(monkeypatch):
     run_step, reaction = admm.AdmmSolver.run_step, admm.AdmmSolver.reaction
 
     def run_step_logged(
-        self, state0, bc_values, delta_max, step=0, iteration_sink=None
+        self, state0, bc_values, delta_max, anderson=None, step=0,
+        iteration_sink=None,
     ):
         steps.append((np.count_nonzero(delta_max), self.rho))
-        return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
+        return run_step(
+            self, state0, bc_values, delta_max, anderson, step, iteration_sink
+        )
 
     def reaction_logged(self, state, nodes):
         reactions.append(self.rho)
@@ -523,10 +587,13 @@ class TestActivationPenalty:
         run_step, solvers = admm.AdmmSolver.run_step, []
 
         def run_step_logged(
-            self, state0, bc_values, delta_max, step=0, iteration_sink=None
+            self, state0, bc_values, delta_max, anderson=None, step=0,
+            iteration_sink=None,
         ):
             solvers.append(self)
-            return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
+            return run_step(
+                self, state0, bc_values, delta_max, anderson, step, iteration_sink
+            )
 
         monkeypatch.setattr(admm.AdmmSolver, "run_step", run_step_logged)
         fracture_run(AdmmConfig(alpha=100.0))
@@ -562,40 +629,32 @@ class TestActivationPenalty:
         assert len(steps) == len(record.rows) - 1
 
     def test_no_anderson_rows_cross_a_switch(self, monkeypatch):
-        """A run whose solvers drop their Anderson rows whenever the
-        penalty switches is bit for bit the same run, and each penalty
-        keeps its own rows. The rows hold multipliers only, so their
-        scale 1 / a is the same at both penalties."""
-        kept = fracture_run()
+        """Rows belong to the penalty they were made at, and a step drops
+        rows of another one. On the fracture strip the first step at a
+        new penalty, either way, is given no rows at all, so one history
+        per run loses nothing to the switch; rows do carry between steps
+        at one penalty."""
         run_step = admm.AdmmSolver.run_step
-        last = []
+        given = []
 
-        def clear_on_switch(
-            self, state0, bc_values, delta_max, step=0, iteration_sink=None
+        def run_step_logged(
+            self, state0, bc_values, delta_max, anderson=None, step=0,
+            iteration_sink=None,
         ):
-            if last and last[-1] is not self:
-                self._anderson.clear()
-            last.append(self)
-            return run_step(self, state0, bc_values, delta_max, step, iteration_sink)
-
-        monkeypatch.setattr(admm.AdmmSolver, "run_step", clear_on_switch)
-        cleared = fracture_run()
-        solvers = list(dict.fromkeys(last))
-        assert len(solvers) == 2
-        high, low = solvers
-        assert low._anderson is not high._anderson
-        for solver in solvers:
-            areas2 = np.repeat(solver.jump.areas, 2)
-            assert np.array_equal(solver._anderson.scale, 1.0 / areas2)
-        assert [r.iterations for r in cleared.rows] == [
-            r.iterations for r in kept.rows
-        ]
-        assert cleared.stresses.tobytes() == kept.stresses.tobytes()
-        for name in ("u", "delta", "y"):
-            assert (
-                getattr(cleared.final_state, name).tobytes()
-                == getattr(kept.final_state, name).tobytes()
+            given.append((self.rho, anderson))
+            return run_step(
+                self, state0, bc_values, delta_max, anderson, step, iteration_sink
             )
+
+        monkeypatch.setattr(admm.AdmmSolver, "run_step", run_step_logged)
+        fracture_run()
+        switches = [
+            (rho, rows) for (before, _), (rho, rows) in zip(given, given[1:])
+            if rho != before
+        ]
+        assert len({rho for rho, _ in switches}) == 2      # both ways
+        assert all(rows is None for _, rows in switches)
+        assert any(rows is not None for _, rows in given)
 
     def test_switch_keeps_the_fracture_curve(self, monkeypatch):
         """Within 1% of peak of the fixed-penalty curve. As for the
