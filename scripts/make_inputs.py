@@ -41,7 +41,6 @@ schedule:
     - {set: pin, components: y}
 policy:
   extrapolation: true
-  quality_threshold: 2.0
 output:
   directory: out
 """

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -97,6 +96,11 @@ BLOWUP_FACTOR = 1e6
 # without one and converges; 2000 caps a stalled 30k step near 2 min.
 STALL_WINDOW = 2000
 
+# The last resort after the two rules above: a load step fails after
+# this many iterations. The longest converging step of the seed-0
+# benchmark workloads takes 93.
+MAX_ITERS = 100_000
+
 
 @dataclass
 class SolverState:
@@ -125,13 +129,12 @@ class AdmmConfig:
 
     alpha scales the penalty rho = alpha * mean(a_i) * sigma_c / delta_c;
     c_primal and c_dual are pressure tolerances on the residual infinity
-    norms; max_iters caps the iterations of a single load step.
+    norms. The iteration cap of a load step is the constant MAX_ITERS.
     """
 
     alpha: float = 100.0
     c_primal: float = 0.01
     c_dual: float = 0.01
-    max_iters: int = 100_000
 
     def __post_init__(self):
         # each bound is written so that NaN fails it
@@ -141,10 +144,6 @@ class AdmmConfig:
             raise ConfigError("alpha must be finite")
         if not (0 < self.c_primal < math.inf and 0 < self.c_dual < math.inf):
             raise ConfigError("tolerances must be positive and finite")
-        # bool counts as an int in Python; numpy integers are Integral
-        v = self.max_iters
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ConfigError("max_iters must be an integer of at least 1")
 
     def penalty(self, areas: np.ndarray, params: CohesiveParams) -> float:
         """rho = alpha * mean(a_i) * sigma_c / delta_c (0 if no interfaces)."""
@@ -554,9 +553,6 @@ class AdmmSolver:
     def n_points(self) -> int:
         return self.jump.n_points
 
-    def initial_state(self) -> SolverState:
-        return SolverState.zeros(self.jump.n_dof, self.jump.n_points)
-
     def u_update(
         self, y: np.ndarray, delta: np.ndarray, bc_values: np.ndarray,
         lifted: np.ndarray,
@@ -616,8 +612,8 @@ class AdmmSolver:
         returned state is always the output of the plain map. No argument
         is written to. iteration_sink(step, iter, primal, dual), when
         given, sees every iteration of this call and of no other. Raises
-        ConvergenceError when the iteration cap is exhausted or at the
-        first non-finite residual, and its subclass StagnationError once
+        ConvergenceError after MAX_ITERS iterations or at the first
+        non-finite residual, and its subclass StagnationError once
         the relative residual r = max(primal / c_primal, dual / c_dual),
         which is at least 1 until the step converges, exceeds
         BLOWUP_FACTOR times its least value so far ("diverged") or sets
@@ -638,7 +634,7 @@ class AdmmSolver:
             open_in = delta.any()
         lifted = self.fact.coupling @ bc_values
         local = LocalSolveContext(self.jump.areas, delta_max, self.rho, self.params)
-        for it in range(1, self.config.max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             u = self.u_update(y, delta, bc_values, lifted)
             au = self.jump.A @ u
             # au_hat = r A u + (1 - r) delta, without temporaries
@@ -673,4 +669,4 @@ class AdmmSolver:
                 open_in = open_out
             delta = delta_g
             y = y_g if accelerated is None else accelerated
-        raise ConvergenceError(step, self.config.max_iters, primal, dual)
+        raise ConvergenceError(step, MAX_ITERS, primal, dual)

@@ -85,15 +85,18 @@ class LoadSchedule:
 
 @dataclass(frozen=True)
 class ExtrapolationPolicy:
-    """Gate for extrapolated warm starts."""
+    """Gate for extrapolated warm starts: a step starts from the
+    extrapolation when the last prediction's quality exceeds the
+    threshold. At 1 that is when the prediction beat the last state; a
+    stale prediction rates exactly 1 and is never used."""
 
     enabled: bool = True
-    quality_threshold: float = 2.0
+    quality_threshold: float = 1.0
 
     def __post_init__(self):
         # each bound is written so that NaN fails it
-        if not 1 < self.quality_threshold < math.inf:
-            raise ConfigError("quality_threshold must exceed 1 and be finite")
+        if not 1 <= self.quality_threshold < math.inf:
+            raise ConfigError("quality_threshold must be at least 1 and finite")
 
 
 @dataclass

@@ -53,14 +53,16 @@ def make_solver(mesh, material, params, config, fixed_spec):
     return bm, jump, stiffness, solver, dirichlet
 
 
+def zero_state(solver):
+    return SolverState.zeros(solver.jump.n_dof, solver.n_points)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             AdmmConfig(alpha=1.0)
         with pytest.raises(ConfigError):
             AdmmConfig(c_primal=0.0)
-        with pytest.raises(ConfigError):
-            AdmmConfig(max_iters=0)
 
     def test_solver_checks_penalty_at_construction(self, soft_material):
         # beta^2 = 400 puts the bound above rho = 100 mean(a) sigma_c/delta_c
@@ -466,7 +468,7 @@ class TestDeltaUpdate:
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 5e-3
         delta_max = np.zeros(jump.n_points)
-        result = solver.run_step(solver.initial_state(), bc, delta_max)
+        result = solver.run_step(zero_state(solver), bc, delta_max)
         commit_history(delta_max, result.state.delta, params)
         assert delta_max.max() > 0.0
         au = jump.A @ result.state.u
@@ -659,7 +661,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-4)
-        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        first = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         again = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
         assert again.iterations <= 2
 
@@ -670,7 +672,7 @@ class TestRunStep:
         delta_max = np.zeros(jump.n_points)
         pull = 1e-4   # far below activation
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        result = solver.run_step(zero_state(solver), bc, delta_max, step=1)
 
         bc_map = {}
         for n in mesh.boundary_sets["left"]:
@@ -695,12 +697,12 @@ class TestRunStep:
             soft_material, params
         )
         bc = self.bc_values(dirichlet, right, 1e-4)
-        given = solver.run_step(solver.initial_state(), bc, np.zeros(jump.n_points))
+        given = solver.run_step(zero_state(solver), bc, np.zeros(jump.n_points))
         reversed_solver = AdmmSolver(
             stiffness, jump, params, solver.config, dirichlet[::-1], bm.nodes,
         )
         got = reversed_solver.run_step(
-            reversed_solver.initial_state(), bc[::-1], np.zeros(jump.n_points)
+            zero_state(reversed_solver), bc[::-1], np.zeros(jump.n_points)
         )
         assert np.abs(got.state.u - given.state.u).max() <= 1e-12 * 1e-4
         driven = bm.dofs_of(mesh.boundary_sets["right"], "x")
@@ -712,7 +714,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 2e-3)   # still below activation
-        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        result = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         state = result.state
         p = (state.y + solver.rho * (jump.A @ state.u - state.delta)).reshape(-1, 2)
         p_eff = np.hypot(np.maximum(p[:, 0], 0.0), p[:, 1] / params.beta)
@@ -720,9 +722,12 @@ class TestRunStep:
         bound = jump.areas * (SC + 2 * solver.config.c_primal)
         assert np.all(p_eff[closed] <= bound[closed] + 1e-12)
 
-    def test_nonconvergence_raises_with_context(self, soft_material, params):
+    def test_nonconvergence_raises_with_context(
+        self, soft_material, params, monkeypatch
+    ):
+        monkeypatch.setattr(admm, "MAX_ITERS", 3)
         mesh = rect_strip(4.0, 2.0, 4, 2)
-        cfg = AdmmConfig(alpha=100.0, c_primal=1e-8, c_dual=1e-8, max_iters=3)
+        cfg = AdmmConfig(alpha=100.0, c_primal=1e-8, c_dual=1e-8)
         bm, jump, stiffness, solver, dirichlet = make_solver(
             mesh, soft_material, params, cfg,
             [("left", "x"), ("pin", "y"), ("right", "x")],
@@ -731,7 +736,7 @@ class TestRunStep:
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = 0.05
         delta_max = np.zeros(jump.n_points)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, delta_max, step=7)
+            solver.run_step(zero_state(solver), bc, delta_max, step=7)
         assert err.value.step == 7
         assert err.value.iterations == 3
         assert err.value.primal > 0 or err.value.dual > 0
@@ -747,7 +752,7 @@ class TestRunStep:
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
         with pytest.raises(ConvergenceError) as err:
-            solver.run_step(solver.initial_state(), bc, delta_max, step=4)
+            solver.run_step(zero_state(solver), bc, delta_max, step=4)
         assert err.value.step == 4
         assert err.value.iterations == 1
         assert np.isnan(err.value.primal) or np.isnan(err.value.dual)
@@ -769,7 +774,7 @@ class TestRunStep:
         monkeypatch.setattr(AdmmSolver, "delta_update", growing)
         bc = self.bc_values(dirichlet, right, 1e-3)
         with pytest.raises(StagnationError) as err:
-            solver.run_step(solver.initial_state(), bc, np.zeros(jump.n_points), step=6)
+            solver.run_step(zero_state(solver), bc, np.zeros(jump.n_points), step=6)
         e = err.value
         assert isinstance(e, ConvergenceError)
         assert e.step == 6
@@ -785,7 +790,7 @@ class TestRunStep:
         """Tolerances below roundoff, without acceleration: the primal
         residual settles in its roundoff band and r sets no new least
         value, so the step fails STALL_WINDOW iterations after its last
-        one, long before max_iters, and says it stalled."""
+        one, long before MAX_ITERS, and says it stalled."""
         monkeypatch.setattr(admm, "ANDERSON_WINDOW", 0)
         schedule = LoadSchedule(
             bc_set="right", direction="x", u_end=0.002, n_steps=2,
@@ -797,7 +802,7 @@ class TestRunStep:
                             schedule, cfg)
         e = err.value
         assert e.iterations == e.best_iteration + admm.STALL_WINDOW
-        assert e.iterations < cfg.max_iters
+        assert e.iterations < admm.MAX_ITERS
         r = max(e.primal / cfg.c_primal, e.dual / cfg.c_dual)
         assert e.best <= r <= admm.BLOWUP_FACTOR * e.best
         assert str(e).startswith(f"step {e.step} stalled at iteration {e.iterations} ")
@@ -811,7 +816,7 @@ class TestRunStep:
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
         first, second = [], []
-        one = solver.run_step(solver.initial_state(), bc, delta_max, step=1,
+        one = solver.run_step(zero_state(solver), bc, delta_max, step=1,
                               iteration_sink=lambda *entry: first.append(entry))
         skipped = solver.run_step(one.state, 2 * bc, delta_max, one.anderson, step=2)
         two = solver.run_step(one.state, 3 * bc, delta_max, skipped.anderson, step=3,
@@ -827,7 +832,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 5e-3)   # past activation
-        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        first = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         assert first.iterations > 1
         commit_history(delta_max, first.state.delta, params)
         assert delta_max.max() > 0.0
@@ -849,7 +854,7 @@ class TestRunStep:
             soft_material, params
         )
         first = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             np.zeros(jump.n_points), step=1,
         )
         state0, rows = first.state, first.anderson
@@ -879,7 +884,7 @@ class TestRunStep:
         solver.delta_update = recorded
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, pull)
-        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        result = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         return result, iterates, jump, solver
 
     def test_anderson_saves_iterations_before_activation(
@@ -905,7 +910,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         first = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             delta_max, step=1,
         )
         commit_history(delta_max, first.state.delta, params)
@@ -933,7 +938,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        first = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        first = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         second = solver.run_step(first.state, bc, delta_max, first.anderson, step=2)
         state = second.state
         opened = np.zeros(2 * jump.n_points)
@@ -967,7 +972,7 @@ class TestRunStep:
 
         monkeypatch.setattr(admm, "_Anderson", Recorded)
         result = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             np.zeros(jump.n_points), step=1,
         )
         rows, (anderson,) = result.anderson, made
@@ -987,7 +992,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         first = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             delta_max, step=1,
         )
         rows = first.anderson
@@ -1028,7 +1033,7 @@ class TestRunStep:
         solver.delta_update = recorded
         delta_max = np.zeros(jump.n_points)
         first = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             delta_max, step=1,
         )
         start = dataclasses.replace(first.state, delta=first.state.delta.copy())
@@ -1068,7 +1073,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         first = solver.run_step(
-            solver.initial_state(), self.bc_values(dirichlet, right, 1e-3),
+            zero_state(solver), self.bc_values(dirichlet, right, 1e-3),
             delta_max, step=3,
         )
         plain_update = solver.delta_update
@@ -1095,7 +1100,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 1e-3)
-        result = solver.run_step(solver.initial_state(), bc, delta_max, step=1)
+        result = solver.run_step(zero_state(solver), bc, delta_max, step=1)
         left = reaction_force(
             stiffness, jump, solver.rho, result.state,
             bm.private_nodes_of(mesh.boundary_sets["left"]),
@@ -1113,7 +1118,7 @@ class TestRunStep:
         )
         delta_max = np.zeros(jump.n_points)
         bc = self.bc_values(dirichlet, right, 3e-3)
-        state = solver.run_step(solver.initial_state(), bc, delta_max, step=1).state
+        state = solver.run_step(zero_state(solver), bc, delta_max, step=1).state
         full = internal_force(stiffness, jump.A, solver.rho, state)
         for name in ("right", "left", "pin"):
             nodes = bm.private_nodes_of(mesh.boundary_sets[name])
@@ -1167,7 +1172,7 @@ def test_gauss_point_permutation_invariance(soft_material, params):
         delta_max = np.zeros(jp.n_points)
         bc = np.zeros(len(dirichlet))
         bc[np.isin(dirichlet, bm.dofs_of(mesh.boundary_sets["right"], "x"))] = pull
-        results.append(solver.run_step(solver.initial_state(), bc, delta_max))
+        results.append(solver.run_step(zero_state(solver), bc, delta_max))
 
     base, permuted = results
     assert np.abs(base.state.u - permuted.state.u).max() <= 1e-10
@@ -1251,7 +1256,7 @@ def reference_run_step(solver, state0, bc_values, delta_max, history):
         # no difference across the step boundary
         anderson.norm_prev = anderson.g_prev = None
     u, delta, y = state0.u, state0.delta.copy(), state0.y.copy()
-    for it in range(1, solver.config.max_iters + 1):
+    for it in range(1, admm.MAX_ITERS + 1):
         rhs = -(jump.A.T @ (y - rho * delta))
         u = np.empty(jump.n_dof)
         u[fact.fixed] = bc_values

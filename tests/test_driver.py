@@ -136,8 +136,10 @@ class TestScheduleValidation:
                              u_end=1e-2, n_steps=2)
 
     def test_policy_threshold_validated(self):
-        with pytest.raises(ConfigError):
-            ExtrapolationPolicy(enabled=True, quality_threshold=1.0)
+        assert ExtrapolationPolicy(quality_threshold=1.0).quality_threshold == 1.0
+        for value in (0.999, 0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="at least 1 and finite"):
+                ExtrapolationPolicy(enabled=True, quality_threshold=value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -170,7 +172,6 @@ def test_non_finite_setting_rejected(build, error, value):
 
 
 COUNT_SETTINGS = {
-    "max_iters": lambda v: AdmmConfig(max_iters=v),
     "n_steps": lambda v: LoadSchedule(bc_set="right", direction="x",
                                       u_end=1e-3, n_steps=v),
 }
@@ -299,7 +300,9 @@ class TestFractureRun:
         ]
         assert [entry[:2] for entry in residual_log] == expected
 
-    def test_nonconvergence_keeps_the_converged_steps(self, fracture_record):
+    def test_nonconvergence_keeps_the_converged_steps(
+        self, fracture_record, monkeypatch
+    ):
         """A cap that the pre-activation steps meet and the snap step does
         not: the error's partial record holds the step-0 row and the k - 1
         converged steps before the failing step k, with the damage history
@@ -307,8 +310,9 @@ class TestFractureRun:
         cap = 100
         k = next(r.step for r in fracture_record.rows if r.iterations > cap)
         assert k > 1
+        monkeypatch.setattr(admm, "MAX_ITERS", cap)
         with pytest.raises(ConvergenceError) as err:
-            fracture_run(AdmmConfig(max_iters=cap))
+            fracture_run()
         assert err.value.step == k
         record = err.value.partial_record
         assert [r.step for r in record.rows] == list(range(k))
@@ -397,10 +401,11 @@ def test_advance_again_from_the_same_state(params):
     assert first_row == again_row
 
 
-def test_nonconvergence_carries_partial_record(soft_material, params):
+def test_nonconvergence_carries_partial_record(soft_material, params, monkeypatch):
+    monkeypatch.setattr(admm, "MAX_ITERS", 5)
     mesh = rect_strip(4.0, 2.0, 4, 2)
     sched = small_strip_schedule(u_end=0.03, n_steps=3)
-    cfg = AdmmConfig(alpha=100.0, c_primal=1e-9, c_dual=1e-9, max_iters=5)
+    cfg = AdmmConfig(alpha=100.0, c_primal=1e-9, c_dual=1e-9)
     rows_seen = []
     with pytest.raises(ConvergenceError) as err:
         run_quasistatic(

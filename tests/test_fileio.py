@@ -59,7 +59,6 @@ admm:
   alpha: 100.0
   c_primal: 0.01
   c_dual: 0.01
-  max_iters: 50000
 schedule:
   bc_set: right
   direction: x
@@ -333,7 +332,6 @@ class TestConfigParsing:
         cfg = parse_config(config_file)
         assert cfg.material.youngs_modulus == 3000.0
         assert cfg.cohesive.sigma_c == 3.0
-        assert cfg.admm.max_iters == 50000
         assert cfg.schedule.fixed_sets == (("left", "x"), ("pin", "y"))
         assert cfg.policy.enabled is True
         assert cfg.output.directory == "out"
@@ -402,6 +400,10 @@ class TestConfigParsing:
         for text, message in [
             (CONFIG.replace("beta: 1.0", "beta: 1.0\n  gamma: 2.0"),
              "^cohesive.gamma: unknown key$"),
+            # the per-step iteration cap is the constant admm.MAX_ITERS
+            (CONFIG.replace("admm:\n  alpha: 100.0\n  c_primal: 0.01\n  c_dual: 0.01\n",
+                            "admm: {max_iters: 5}\n"),
+             "^admm.max_iters: unknown key$"),
             (CONFIG + "solver: {}\n", "^solver: unknown section$"),
         ]:
             path.write_text(text)
@@ -418,7 +420,7 @@ class TestConfigParsing:
     def test_repeated_top_level_section_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(CONFIG + "admm: {alpha: 60.0}\n")
-        with pytest.raises(ConfigError, match=r"c\.yaml:30: repeated key 'admm'$"):
+        with pytest.raises(ConfigError, match=r"c\.yaml:29: repeated key 'admm'$"):
             parse_config(path)
 
     def test_invalid_value_names_section(self, tmp_path):
